@@ -1,7 +1,6 @@
 //! Shadow-kernel backend comparison: `scalar` vs `swar` vs `simd` on the
 //! four kernel loops, across region sizes.
 //!
-//! This is the criterion twin of `repro bench`'s `BENCH_PR6.json` sweep.
 //! Each backend is obtained explicitly through [`kernel::select`] — the
 //! process-wide dispatch is untouched, so the backends can be interleaved in
 //! one run. Scan inputs are clean-shadow worst cases (no early exit): the

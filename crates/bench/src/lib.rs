@@ -14,6 +14,10 @@
 //! * `quasi_bound` — §4.3: cached vs uncached loop protection;
 //! * `interp_throughput` — end-to-end interpreter throughput per tool and
 //!   traversal pattern, plus monomorphized-vs-dynamic dispatch.
+//!
+//! These are ungated per-size microbenches. The repository's gated
+//! benchmark, which times whole sanitized runs against the parent commit,
+//! is `perfbench/` (see `BENCHMARK.json`).
 
 use giantsan_baselines::Asan;
 use giantsan_core::GiantSan;
@@ -48,8 +52,7 @@ pub fn prepped_asan(size: u64) -> (Asan, Allocation) {
     (san, a)
 }
 
-/// One traversal workload instance: the program, its inputs, and the labels
-/// the benches and the JSON artefact share.
+/// One traversal workload instance: the program, its inputs, and its label.
 #[derive(Debug)]
 pub struct TraversalCase {
     /// Access pattern (forward/random/reverse).
@@ -63,15 +66,14 @@ pub struct TraversalCase {
 }
 
 impl TraversalCase {
-    /// `<pattern>/<size>` — the group label used by criterion and the
-    /// harness `bench` subcommand alike.
+    /// `<pattern>/<size>` — the criterion group label.
     pub fn label(&self) -> String {
         format!("{}/{}", self.pattern.name(), self.size)
     }
 }
 
-/// The traversal matrix shared by `interp_throughput`, `fig11_traversal`,
-/// and the harness `bench` subcommand: every pattern at each given size.
+/// The traversal matrix of `interp_throughput`: every pattern at each given
+/// size.
 pub fn traversal_cases(sizes: &[u64]) -> Vec<TraversalCase> {
     let mut out = Vec::new();
     for pattern in Pattern::ALL {

@@ -12,14 +12,12 @@
 //! repro plan   [--scale N] [--format json]  planner provenance + per-pass statistics
 //! repro memory [--scale N]          memory-overhead study
 //! repro density [--scale N]         achieved protection-density study
-//! repro bench  [--out-dir DIR]      hot-path + batch + recover + telemetry + kernels + service -> BENCH_PR{1,2,4,5,6,9}.json
 //! repro faults [--seed S] [--format json]   fault-injection campaign (detected/recovered/missed/crashed)
 //! repro trace  [--workload W] [--tool T] end-to-end telemetry trace -> JSONL + Chrome + Prometheus
 //! repro echo   [--scale N] [--rounds N]  many tiny sessions (the service load-test study)
 //! repro all    [--div N] [--scale N] everything
 //! repro merge DIR                   merge a sharded campaign's blobs into the full report
 //! repro serve  [--addr HOST:PORT] [--data-dir DIR] ...   the sanitizer-as-a-service front-end
-//! repro perfgate [--check] [--dir DIR] [--against DIR] [--noise PCT]   gate the BENCH trajectory
 //! ```
 //!
 //! Every subcommand is a [`Study`] resolved from [`StudyRegistry::builtin`]
@@ -79,7 +77,7 @@ use std::process::ExitCode;
 use giantsan_harness::campaign::{self, Campaign, CampaignError, ShardSpec};
 use giantsan_harness::cli::{self, CliOpts};
 use giantsan_harness::study::records_json;
-use giantsan_harness::{perfgate, serve, BatchTrace, Study, StudyOutput, StudyRegistry, TraceSink};
+use giantsan_harness::{serve, BatchTrace, Study, StudyOutput, StudyRegistry, TraceSink};
 use giantsan_telemetry::export::ChromeTrace;
 
 /// Exit codes, pinned by `tests/exit_codes.rs`:
@@ -131,11 +129,10 @@ const ALL: [&str; 10] = [
 fn usage() -> String {
     format!(
         "usage: repro <table2|fig10|table3|table4|table5|fig11|ablation|plan|memory|density\
-         |alloc|echo|bench|faults|trace|all> {}\n       repro merge DIR [--format text|json] \
-         [--out-dir DIR]\n       repro serve {}\n       repro perfgate {}",
+         |alloc|echo|faults|trace|all> {}\n       repro merge DIR [--format text|json] \
+         [--out-dir DIR]\n       repro serve {}",
         cli::FLAG_USAGE,
-        serve::FLAG_USAGE,
-        perfgate::FLAG_USAGE
+        serve::FLAG_USAGE
     )
 }
 
@@ -154,7 +151,7 @@ fn write_file(dir: &Path, name: &str, content: &str) {
 /// * `out.report` / `out.json` go to stdout (exactly one of them).
 /// * `out.artifacts` (the CSV exports) are written only when a directory was
 ///   given.
-/// * `out.main_artifacts` (bench JSONs, trace exports) land in the directory
+/// * `out.main_artifacts` (the trace exports) land in the directory
 ///   or the current directory.
 fn emit(
     study: &dyn Study,
@@ -343,27 +340,6 @@ fn main() -> ExitCode {
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::from(1)
-            }
-        };
-    }
-
-    if cmd == "perfgate" {
-        let config = match perfgate::PerfGateConfig::parse(&args[1..]) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("usage: repro perfgate {}", perfgate::FLAG_USAGE);
-                return ExitCode::from(2);
-            }
-        };
-        return match perfgate::run(&config) {
-            // Without --check the observatory reports and exits 0 so a
-            // human can read a red table without killing a pipeline.
-            Ok(rep) if rep.passed() || !config.check => ExitCode::SUCCESS,
-            Ok(_) => ExitCode::from(1),
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
             }
         };
     }

@@ -146,6 +146,7 @@ pub fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
+    opts.study.validate()?;
     if opts.shard.is_some() && opts.out_dir.is_none() {
         return Err(
             "--shard checkpoints into a campaign directory; pass --out-dir DIR (every shard \

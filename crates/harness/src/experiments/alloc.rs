@@ -9,15 +9,13 @@
 //! - **churn** — steady-state alloc/free at a quarter of the live target,
 //!   exercising quarantine recycling and the block heap's hole-finding.
 //! - **poison** — a single-class fill under the block/line backend with
-//!   per-object poisoning vs block-granular pattern stamping; the pair the
-//!   `BENCH_PR8.json` throughput claim rests on.
+//!   per-object poisoning vs block-granular pattern stamping.
 //! - **mt-arenas** — four thread caches pinned to four arenas, verifying
 //!   arena partitioning end to end.
-//! - **kernel-sweep** — the PR 6 backend digest-parity rows (and, under
-//!   `--wall`, the timing ladder), backfilled into `BENCH_PR8.json`.
 //!
 //! Wall-clock fields enter payloads only under `--wall`; everything else is
 //! deterministic, so alloc campaigns shard and resume like any other study.
+//! `--format json` prints every cell record.
 
 use std::time::Instant;
 
@@ -26,8 +24,8 @@ use giantsan_runtime::{
     Allocation, HeapBackend, Region, RuntimeConfig, Sanitizer, ThreadCachedAllocator,
 };
 
-use crate::experiments::fault_study::fnv1a;
 use crate::json::Json;
+use crate::matrix::fnv1a;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
 
@@ -46,14 +44,13 @@ pub const POISON_SIZE: u64 = 48;
 /// payloads must not depend on scheduling knobs.
 pub const ARENA_THREADS: u32 = 4;
 
-const CELLS: [&str; 7] = [
+const CELLS: [&str; 6] = [
     "fill-freelist",
     "fill-blockline",
     "churn-freelist",
     "churn-blockline",
     "poison-pair",
     "mt-arenas",
-    "kernel-sweep",
 ];
 
 /// The live-object target for a scale factor.
@@ -79,8 +76,7 @@ fn sanitizer(cfg: RuntimeConfig, granular: bool) -> GiantSan {
         .build()
 }
 
-/// FNV-1a over the named counter fields, same construction as the PR 6
-/// backend-parity digest.
+/// FNV-1a over the named counter fields.
 fn counters_digest(san: &GiantSan) -> u64 {
     let mut bytes = Vec::new();
     for (name, value) in san.counters().fields() {
@@ -205,7 +201,7 @@ fn poison_fill(scale: u64, live: u64, granular: bool) -> (f64, GiantSan) {
 
 /// Poison cell: the per-object vs block-granular pair in ONE cell, modes
 /// alternating back to back and best-of-3, so host noise hits both sides of
-/// the `BENCH_PR8.json` throughput comparison equally.
+/// the throughput comparison equally.
 fn run_poison_pair(opts: &StudyOpts) -> Json {
     let live = (live_target(opts.scale) / 2).max(1024);
     let reps = if opts.wall { 3 } else { 1 };
@@ -292,46 +288,6 @@ fn run_mt_arenas(opts: &StudyOpts) -> Json {
         .field("overlap_free", overlap_free)
 }
 
-/// kernel-sweep cell: the PR 6 backend digest-parity rows, plus the timing
-/// ladder under `--wall`.
-fn run_kernel_sweep(opts: &StudyOpts) -> Json {
-    let digests: Vec<Json> = crate::bench_pr6::digest_parity()
-        .iter()
-        .map(|d| {
-            Json::obj()
-                .field("backend", d.backend)
-                .field("kernel", d.kernel)
-                .field("exec_digest", Json::hex(d.exec_digest))
-                .field("counters_digest", Json::hex(d.counters_digest))
-        })
-        .collect();
-    let invariant = {
-        let parity = crate::bench_pr6::digest_parity();
-        parity.windows(2).all(|w| {
-            w[0].exec_digest == w[1].exec_digest && w[0].counters_digest == w[1].counters_digest
-        })
-    };
-    let mut payload = Json::obj()
-        .field("cell", "kernel-sweep")
-        .field("digests", Json::Array(digests))
-        .field("digest_invariant", invariant);
-    if opts.wall {
-        let cases: Vec<Json> = crate::bench_pr6::timing_sweep()
-            .iter()
-            .map(|c| {
-                Json::obj()
-                    .field("kernel", c.kernel.as_str())
-                    .field("region_bytes", c.region_bytes)
-                    .field("scalar_ns", c.scalar_ns)
-                    .field("swar_ns", c.swar_ns)
-                    .field("simd_ns", c.simd_ns)
-            })
-            .collect();
-        payload = payload.field("cases", Json::Array(cases));
-    }
-    payload
-}
-
 /// `repro alloc` as a [`Study`].
 #[derive(Debug, Clone, Copy)]
 pub struct AllocEntry;
@@ -353,12 +309,11 @@ impl Study for AllocEntry {
             "churn-blockline" => run_churn(opts, HeapBackend::BlockLine),
             "poison-pair" => run_poison_pair(opts),
             "mt-arenas" => run_mt_arenas(opts),
-            "kernel-sweep" => run_kernel_sweep(opts),
             other => unreachable!("unknown alloc cell {other}"),
         }
     }
 
-    fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
+    fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
         let by_label = |label: &str| -> &Json {
             &records
                 .iter()
@@ -406,20 +361,18 @@ impl Study for AllocEntry {
             study::req_u64(pair, "granular_bulk_runs"),
             study::req_u64(pair, "live"),
         );
-        let speedup = match (
+        if let (Some(po), Some(gr)) = (
             opt_f64(pair, "per_object_ns_per_alloc"),
             opt_f64(pair, "granular_ns_per_alloc"),
         ) {
-            (Some(po), Some(gr)) if gr > 0.0 => {
+            if gr > 0.0 {
                 report.push_str(&format!(
                     "poison path: per-object {po:.0} ns/alloc, block-granular {gr:.0} \
                      ns/alloc ({:.2}x)\n",
                     po / gr
                 ));
-                Some(po / gr)
             }
-            _ => None,
-        };
+        }
 
         let mt = by_label("mt-arenas");
         report.push_str(&format!(
@@ -429,49 +382,9 @@ impl Study for AllocEntry {
             study::req(mt, "arena_affinity").as_bool().unwrap_or(false),
             study::req(mt, "overlap_free").as_bool().unwrap_or(false),
         ));
-        let sweep = by_label("kernel-sweep");
-        report.push_str(&format!(
-            "kernel sweep digest invariance: {}\n",
-            study::req(sweep, "digest_invariant")
-                .as_bool()
-                .unwrap_or(false)
-        ));
-
-        let mut bench = Json::obj()
-            .field("bench", "BENCH_PR8")
-            .field("live_target", live_target(opts.scale))
-            .field(
-                "cells",
-                Json::Array(
-                    records
-                        .iter()
-                        .map(|r| {
-                            Json::obj()
-                                .field("name", r.label.as_str())
-                                .field("payload", r.payload.clone())
-                        })
-                        .collect(),
-                ),
-            );
-        if let Some(s) = speedup {
-            bench = bench
-                .field("granular_speedup", s)
-                .field("granular_beats_per_object", s > 1.0);
-        }
-        if let (Some(fill), Some(live)) = (
-            opt_f64(by_label("fill-blockline"), "alloc_mops"),
-            by_label("fill-blockline")
-                .get("live")
-                .and_then(Json::as_u64),
-        ) {
-            bench = bench
-                .field("blockline_fill_mops", fill)
-                .field("blockline_live_objects", live);
-        }
 
         Ok(StudyOutput {
             report,
-            main_artifacts: vec![("BENCH_PR8.json".to_string(), bench.render())],
             ..StudyOutput::default()
         })
     }
@@ -489,10 +402,10 @@ mod tests {
     fn cell_labels_are_stable() {
         let s = AllocEntry;
         let cells = s.cells(&tiny_opts()).unwrap();
-        assert_eq!(cells.len(), 7);
+        assert_eq!(cells.len(), 6);
         assert_eq!(cells[0], "fill-freelist");
         assert_eq!(cells[4], "poison-pair");
-        assert_eq!(cells[6], "kernel-sweep");
+        assert_eq!(cells[5], "mt-arenas");
     }
 
     #[test]
@@ -571,14 +484,5 @@ mod tests {
         all.sort_unstable();
         assert!(all.windows(2).all(|w| w[0].1 <= w[1].0), "overlap");
         let _ = opts;
-    }
-
-    #[test]
-    fn kernel_sweep_payload_shape() {
-        let p = run_kernel_sweep(&tiny_opts());
-        assert_eq!(study::req_str(&p, "cell"), "kernel-sweep");
-        assert!(study::req(&p, "digest_invariant").as_bool().unwrap());
-        assert_eq!(study::req_array(&p, "digests").len(), 3);
-        assert!(p.get("cases").is_none(), "timing only under --wall");
     }
 }

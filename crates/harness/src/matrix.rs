@@ -2,9 +2,8 @@
 //!
 //! A *cell* is one independent run — a tool on a workload at a size with a
 //! seed. Every experiment in the harness is some fold over such a matrix;
-//! this module gives the cross-cutting form used by the PR 2 batch benchmark
-//! (`repro bench` → `BENCH_PR2.json`), the determinism differential test,
-//! and the CI smoke job: build the matrix, run it under a
+//! this module gives the cross-cutting form used by the determinism
+//! differential test and the CI smoke job: build the matrix, run it under a
 //! [`BatchRunner`], and digest the deterministic outcome fields.
 //!
 //! Cells carry *descriptions*, not programs: each worker materialises its
@@ -20,6 +19,10 @@ use giantsan_workloads::{spec_workload, traversal_program, Pattern};
 
 use crate::batch::BatchRunner;
 use crate::tool::Tool;
+
+/// The workspace's one FNV-1a (it lives in `giantsan-telemetry`), re-exported
+/// for the harness digests.
+pub use giantsan_telemetry::{fnv1a, Fnv1a};
 
 /// What a cell executes (the workload axis of the matrix).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -179,45 +182,6 @@ pub fn digest(outcomes: &[CellOutcome]) -> u64 {
         // Counters is plain data with a stable Debug form within a build.
         h.eat(format!("{:?}", o.counters).as_bytes());
     }
-    h.finish()
-}
-
-/// Incremental FNV-1a hasher — the repo's single digest discipline, shared
-/// by the matrix digest above, the fault campaign, the telemetry JSONL
-/// export, and the campaign layer's spec hashes and shard blobs.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv1a {
-    /// Starts a hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv1a(0xcbf29ce484222325)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// One-shot FNV-1a over raw bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.eat(bytes);
     h.finish()
 }
 

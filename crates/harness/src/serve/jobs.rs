@@ -71,9 +71,7 @@ impl JobSpec {
             };
             opts = StudyOpts::from_params(&pairs)?;
         }
-        if opts.scale == 0 || opts.scale > 65_536 {
-            return Err(format!("scale {} out of range [1, 65536]", opts.scale));
-        }
+        opts.validate()?;
         let shards = match body.get("shards") {
             None => 1,
             Some(v) => v
@@ -533,6 +531,8 @@ mod tests {
         assert!(JobSpec::from_json(&bad_field, &reg).is_err());
         let bad_shards = Json::parse(r#"{"study":"echo","shards":100000}"#).unwrap();
         assert!(JobSpec::from_json(&bad_shards, &reg).is_err());
+        let bad_scale = Json::parse(r#"{"study":"echo","params":{"scale":0}}"#).unwrap();
+        assert!(JobSpec::from_json(&bad_scale, &reg).is_err());
     }
 
     #[test]

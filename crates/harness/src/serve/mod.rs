@@ -375,6 +375,7 @@ fn handle_connection(router: &Router, mut stream: TcpStream, peer: SocketAddr) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use std::io::{Read, Write};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -427,10 +428,10 @@ mod tests {
             ),
         );
         assert_eq!(st, 202, "{resp}");
-        let id = crate::json::Json::parse(&resp)
+        let id = Json::parse(&resp)
             .unwrap()
             .get("id")
-            .and_then(crate::json::Json::as_str)
+            .and_then(Json::as_str)
             .unwrap()
             .to_string();
         // Poll to completion.
@@ -471,6 +472,120 @@ mod tests {
         assert_eq!(st, 503);
         srv.join();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn submit(addr: SocketAddr, client: &str, body: &str) -> (u16, String) {
+        request(
+            addr,
+            &format!(
+                "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nX-Client: {client}\r\nContent-Length: \
+                 {}\r\n\r\n{body}",
+                body.len()
+            ),
+        )
+    }
+
+    #[test]
+    fn overload_burst_is_shed_accounted_and_served_digests_stay_exact() {
+        let dir = tmpdir("overload");
+        let queue_capacity = 4;
+        let srv = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            data_dir: dir.clone(),
+            queue_capacity,
+            workers: 2,
+            threads_per_job: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = srv.addr();
+
+        // One small job served end to end anchors the digest check.
+        let (st, resp) = submit(
+            addr,
+            "anchor",
+            r#"{"study":"echo","params":{"scale":4,"rounds":1,"seed":"0xbe9c"},"shards":1}"#,
+        );
+        assert_eq!(st, 202, "{resp}");
+        let id = Json::parse(&resp)
+            .unwrap()
+            .get("id")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        let t0 = std::time::Instant::now();
+        let served = loop {
+            let (_, body) = request(
+                addr,
+                &format!("GET /v1/jobs/{id} HTTP/1.1\r\nHost: x\r\n\r\n"),
+            );
+            let job = Json::parse(&body).unwrap();
+            if job.get("state").and_then(Json::as_str) == Some("completed") {
+                break job.get("digest").and_then(Json::as_hex).unwrap();
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(60),
+                "anchor job stuck: {body}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        };
+
+        // Past saturation: an open-loop burst of heavy jobs, several times the
+        // queue capacity, from more clients than workers. Every submission is
+        // either admitted or shed with 429; nothing else is acceptable.
+        let (clients, per_client) = (4, 8);
+        let heavy =
+            r#"{"study":"echo","params":{"scale":64,"rounds":8,"seed":"0xbe9c"},"shards":16}"#;
+        let (mut accepted, mut shed) = (0, 0);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|c| {
+                    scope.spawn(move || {
+                        (0..per_client)
+                            .map(|_| submit(addr, &format!("burst-{c}"), heavy))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for h in handles {
+                for (st, body) in h.join().unwrap() {
+                    match st {
+                        202 => accepted += 1,
+                        429 => shed += 1,
+                        other => panic!("burst submission answered {other}: {body}"),
+                    }
+                }
+            }
+        });
+        let offered = clients * per_client;
+        assert!(offered > queue_capacity);
+        assert_eq!(
+            accepted + shed,
+            offered,
+            "every submission is accounted for"
+        );
+        assert!(shed > 0, "the burst must overflow the admission queue");
+        let (_, metrics) = request(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(
+            metrics.contains("giantsan_serve_responses_5xx_total 0\n"),
+            "{metrics}"
+        );
+        srv.stop();
+        srv.join();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The served digest equals the same study run serially in-process.
+        let opts = crate::study::StudyOpts {
+            scale: 4,
+            rounds: 1,
+            seed: 0xbe9c,
+            ..crate::study::StudyOpts::default()
+        };
+        let registry = StudyRegistry::builtin();
+        let records = crate::campaign::Campaign::new(registry.get("echo").unwrap(), opts)
+            .unwrap()
+            .run_all(&crate::batch::BatchRunner::serial());
+        assert_eq!(served, crate::campaign::records_digest(&records));
     }
 
     #[test]

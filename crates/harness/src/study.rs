@@ -65,6 +65,23 @@ impl Default for StudyOpts {
 }
 
 impl StudyOpts {
+    /// Largest `scale` a study runs at, from the CLI or a service job.
+    const MAX_SCALE: u64 = 65_536;
+
+    /// Rejects parameter values no study can run meaningfully: a `scale`
+    /// outside `[1, MAX_SCALE]`. The one check `repro` and `POST /v1/jobs`
+    /// both apply.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.scale == 0 || self.scale > Self::MAX_SCALE {
+            return Err(format!(
+                "scale {} out of range [1, {}]",
+                self.scale,
+                Self::MAX_SCALE
+            ));
+        }
+        Ok(())
+    }
+
     /// The deterministic parameter list that enters a campaign's spec hash
     /// and its `campaign.json` header, as `(key, value)` pairs.
     pub fn params(&self) -> Vec<(&'static str, String)> {
@@ -130,8 +147,7 @@ pub struct StudyOutput {
     /// given (the CSV exports).
     pub artifacts: Vec<(String, String)>,
     /// `(name, content)` files written to the output directory *or* the
-    /// current directory (the bench JSONs and trace exports, which always
-    /// land somewhere).
+    /// current directory (the trace exports, which always land somewhere).
     pub main_artifacts: Vec<(String, String)>,
 }
 
@@ -231,7 +247,6 @@ impl StudyRegistry {
                 Box::new(density::DensityEntry),
                 Box::new(alloc::AllocEntry),
                 Box::new(echo::EchoEntry),
-                Box::new(BenchEntry),
                 Box::new(fault_study::FaultsEntry),
                 Box::new(trace::TraceEntry),
             ],
@@ -361,115 +376,6 @@ pub fn req_bools(payload: &Json, key: &str) -> Vec<bool> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// The bench study: five fixed cells, one per benchmark report.
-// ---------------------------------------------------------------------------
-
-/// `repro bench` as a study: one cell per `BENCH_PR*.json` report.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchEntry;
-
-const BENCH_CELLS: [(&str, &str, &str); 6] = [
-    (
-        "pr1",
-        "== Hot-path before/after (word-wide scanning + monomorphized dispatch) ==",
-        "BENCH_PR1.json",
-    ),
-    (
-        "pr2",
-        "== Batch engine: serial vs {threads} workers ==",
-        "BENCH_PR2.json",
-    ),
-    (
-        "pr4",
-        "== Recover-mode overhead on clean runs (halt vs recover) ==",
-        "BENCH_PR4.json",
-    ),
-    (
-        "pr5",
-        "== Telemetry overhead (noop vs traced recorder) ==",
-        "BENCH_PR5.json",
-    ),
-    (
-        "pr6",
-        "== Shadow-kernel backends (scalar vs swar vs simd) ==",
-        "BENCH_PR6.json",
-    ),
-    (
-        "pr9",
-        "== Sanitizer service at and past saturation (throughput + shed) ==",
-        "BENCH_PR9.json",
-    ),
-];
-
-impl Study for BenchEntry {
-    fn name(&self) -> &'static str {
-        "bench"
-    }
-
-    fn cells(&self, _opts: &StudyOpts) -> Result<Vec<String>, String> {
-        Ok(BENCH_CELLS.iter().map(|(id, ..)| id.to_string()).collect())
-    }
-
-    fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
-        let (id, banner, artifact) = BENCH_CELLS[index];
-        let (report, json) = match id {
-            "pr1" => {
-                let r = crate::bench_pr1::run_bench();
-                (r.render(), r.to_json())
-            }
-            "pr2" => {
-                let r = crate::bench_pr2::run_bench(opts.threads);
-                (r.render(), r.to_json())
-            }
-            "pr4" => {
-                let r = crate::bench_pr4::run_bench();
-                (r.render(), r.to_json())
-            }
-            "pr5" => {
-                let r = crate::bench_pr5::run_bench();
-                (r.render(), r.to_json())
-            }
-            "pr6" => {
-                let r = crate::bench_pr6::run_bench();
-                (r.render(), r.to_json())
-            }
-            "pr9" => {
-                let r = crate::bench_pr9::run_bench();
-                (r.render(), r.to_json())
-            }
-            other => unreachable!("unknown bench cell {other}"),
-        };
-        Json::obj()
-            .field("name", id)
-            .field(
-                "banner",
-                banner.replace("{threads}", &opts.threads.to_string()),
-            )
-            .field("report", report)
-            .field("artifact", artifact)
-            .field("artifact_json", json)
-    }
-
-    fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let mut out = StudyOutput::default();
-        for (i, r) in records.iter().enumerate() {
-            if i > 0 {
-                out.report.push('\n');
-            }
-            out.report.push_str(req_str(&r.payload, "banner"));
-            out.report.push_str("\n\n");
-            out.report.push_str(req_str(&r.payload, "report"));
-            out.report.push('\n');
-            out.main_artifacts.push((
-                req_str(&r.payload, "artifact").to_string(),
-                req_str(&r.payload, "artifact_json").to_string(),
-            ));
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,7 +410,7 @@ mod tests {
         let names = reg.names();
         let unique: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(unique.len(), names.len());
-        for n in ["table2", "faults", "trace", "bench", "plan", "all"] {
+        for n in ["table2", "faults", "trace", "plan", "all"] {
             if n == "all" {
                 assert!(reg.get(n).is_none(), "`all` is a meta-command, not a study");
             } else {

@@ -35,7 +35,7 @@ use giantsan_runtime::{
 };
 use giantsan_shadow::Addr;
 use giantsan_telemetry::{
-    CheckPathKind, EventKind, NoopRecorder, Recorder, LOOP_FINAL_SITE, PRE_CHECK_SITE,
+    CheckPathKind, EventKind, Fnv1a, NoopRecorder, Recorder, LOOP_FINAL_SITE, PRE_CHECK_SITE,
 };
 
 use crate::expr::Expr;
@@ -108,29 +108,23 @@ impl ExecResult {
     /// interpreter can observe; the batch engine's determinism checks
     /// compare these instead of whole results.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(&self.checksum.to_le_bytes());
-        eat(&self.steps.to_le_bytes());
-        eat(&self.native_work.to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.eat(&self.checksum.to_le_bytes());
+        h.eat(&self.steps.to_le_bytes());
+        h.eat(&self.native_work.to_le_bytes());
         match &self.termination {
-            Termination::Finished => eat(b"finished"),
-            Termination::Halted => eat(b"halted"),
+            Termination::Finished => h.eat(b"finished"),
+            Termination::Halted => h.eat(b"halted"),
             Termination::Crashed { reason } => {
-                eat(b"crashed:");
-                eat(reason.as_bytes());
+                h.eat(b"crashed:");
+                h.eat(reason.as_bytes());
             }
-            Termination::StepLimit => eat(b"step-limit"),
+            Termination::StepLimit => h.eat(b"step-limit"),
         }
         for r in &self.reports {
-            eat(r.to_string().as_bytes());
+            h.eat(r.to_string().as_bytes());
         }
-        h
+        h.finish()
     }
 }
 

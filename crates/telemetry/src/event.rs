@@ -188,14 +188,45 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// FNV-1a over `bytes` — the digest primitive every trace artefact uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// Incremental FNV-1a hasher — the repo's single digest discipline, shared
+/// by the trace exports, span ids, interpreter results, the harness matrix
+/// and fault-campaign digests, and the campaign layer's spec hashes and
+/// shard blobs.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
     }
-    h
+}
+
+impl Fnv1a {
+    /// Starts a hasher at the FNV offset basis.
+    pub fn new() -> Self {
+        Fnv1a(0xcbf29ce484222325)
+    }
+
+    /// Folds `bytes` into the running hash.
+    pub fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One-shot FNV-1a over `bytes` — the digest primitive every trace artefact
+/// uses.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.eat(bytes);
+    h.finish()
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //!   `ENABLED` const makes the disabled case **zero-cost**: every emission
 //!   site is guarded by `if R::ENABLED`, so instantiating a caller at
 //!   [`NoopRecorder`] (the default everywhere) compiles the telemetry code
-//!   out entirely — determinism digests and BENCH numbers are untouched.
+//!   out entirely — determinism digests and measured times are untouched.
 //! * [`TraceRecorder`] — the enabled implementation: an in-memory event
 //!   stream plus deterministic sampling [`Histograms`].
 //! * [`Event`] / [`EventKind`] — the event taxonomy (checks with path and
@@ -72,7 +72,7 @@ pub mod recorder;
 pub mod span;
 
 pub use event::{
-    fnv1a, site_label, AllocPlacement, CheckPathKind, Event, EventKind, LOOP_FINAL_SITE,
+    fnv1a, site_label, AllocPlacement, CheckPathKind, Event, EventKind, Fnv1a, LOOP_FINAL_SITE,
     PRE_CHECK_SITE,
 };
 pub use flight::{FlightEvent, FlightEventKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};

@@ -12,8 +12,8 @@
 //! `bulk_poison_runs` (whole-block writes handed to the kernel layer), and
 //! the block heap's own statistics (blocks mapped to size classes, slot
 //! holes recycled by hole-finding, whole-block spans). The full-scale
-//! version of this comparison is the `repro alloc` study, whose artifact is
-//! committed as `BENCH_PR8.json`.
+//! version of this comparison is the `repro alloc` study (`--format json`
+//! prints its cell records).
 
 use std::time::Instant;
 

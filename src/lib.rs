@@ -10,6 +10,8 @@
 //! This facade crate re-exports every subsystem of the workspace:
 //!
 //! * [`shadow`] — simulated address space + raw shadow memory substrate;
+//! * [`telemetry`] — event recorders, span ids, exports, and the workspace's
+//!   one FNV-1a digest;
 //! * [`runtime`] — allocator runtime (redzones, quarantine, stack) and the
 //!   [`runtime::Sanitizer`] trait;
 //! * [`core`] — the paper's contribution: segment-folding shadow encoding,
@@ -49,4 +51,5 @@ pub use giantsan_harness as harness;
 pub use giantsan_ir as ir;
 pub use giantsan_runtime as runtime;
 pub use giantsan_shadow as shadow;
+pub use giantsan_telemetry as telemetry;
 pub use giantsan_workloads as workloads;

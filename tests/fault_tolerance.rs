@@ -12,6 +12,7 @@ use giantsan::harness::{BatchRunner, FaultKind, FaultPlan, Tool};
 use giantsan::ir::Termination;
 use giantsan::runtime::{RecoveryPolicy, RuntimeConfig};
 use giantsan::workloads::fuzz::InjectedBug;
+use giantsan::workloads::spec_workload;
 
 fn recover_config() -> RuntimeConfig {
     RuntimeConfig::small()
@@ -35,6 +36,27 @@ fn fault_campaign_digest_is_thread_invariant() {
     }
     assert_eq!(studies[0].digest(), studies[1].digest());
     assert_eq!(studies[0].digest(), studies[2].digest());
+}
+
+/// Recover mode is pure standby on clean runs: nothing is ever admitted,
+/// so the same clean SPEC-like mix executes identically under both policies.
+#[test]
+fn recover_policy_is_transparent_on_clean_runs() {
+    let halt = RuntimeConfig::small()
+        .to_builder()
+        .recovery(RecoveryPolicy::Halt)
+        .build();
+    let halt = Tool::GiantSan.builder().config(halt).spec();
+    let recover = Tool::GiantSan.builder().config(recover_config()).spec();
+    for id in ["519.lbm_r", "505.mcf_r", "557.xz_r"] {
+        let w = spec_workload(id, 2).expect("known workload");
+        let plan = Tool::GiantSan.plan(&w.program);
+        let h = halt.run_planned(&w.program, &plan, &w.inputs);
+        let r = recover.run_planned(&w.program, &plan, &w.inputs);
+        assert!(h.result.reports.is_empty(), "{id} must run clean");
+        assert!(h.result.steps > 0, "{id} executed nothing");
+        assert_eq!(h.result.digest(), r.result.digest(), "{id}");
+    }
 }
 
 /// The full CI matrix holds at least 1000 injected-fault cells.

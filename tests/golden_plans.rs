@@ -15,6 +15,7 @@ use std::path::PathBuf;
 
 use giantsan::analysis::{analyze, Analysis, ToolProfile};
 use giantsan::ir::Program;
+use giantsan::telemetry::fnv1a;
 use giantsan::workloads::{figure8_program, spec_workload};
 
 /// The profiles under snapshot: the four performance-study tools plus the
@@ -39,17 +40,6 @@ fn programs() -> Vec<(&'static str, Program)> {
         v.push((id, w.program));
     }
     v
-}
-
-/// FNV-1a over the canonical rendering (the same constants as the harness
-/// matrix digests).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Canonical, exhaustive rendering of an analysis result: every site action
