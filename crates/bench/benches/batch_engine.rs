@@ -1,30 +1,31 @@
 //! Batch-engine scaling: the same cell matrix at 1/2/4/8 workers.
 //!
-//! `batch_matrix/<threads>` times [`giantsan_harness::matrix::run_matrix`]
-//! over the default PR 2 cell matrix. On a multi-core host the curve shows
-//! the engine's scaling; on a single-core host all points collapse onto the
-//! serial time (work stealing adds only the per-cell atomic increment).
-//! `batch_overhead/serial-vs-pool-of-1` isolates the pure scheduling
-//! overhead: the inline path against a 2-worker pool on the same matrix.
+//! `batch_matrix/<threads>` times [`Campaign::run_all`] of the registry's
+//! `faults` study — every tool × fuzz workload × fault axis × seed, 1050
+//! independent cells. On a multi-core host the curve shows the engine's
+//! scaling; on a single-core host all points collapse onto the serial time
+//! (work stealing adds only the per-cell atomic increment).
+//! `batch_overhead/{inline,pool}` isolates the pure scheduling overhead:
+//! 4096 trivial cells on the inline path against a 2-worker pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use giantsan_harness::matrix::{default_matrix, run_matrix};
-use giantsan_harness::BatchRunner;
-use giantsan_runtime::RuntimeConfig;
+use giantsan_harness::campaign::Campaign;
+use giantsan_harness::{BatchRunner, StudyOpts, StudyRegistry};
 
 fn bench_batch_matrix(c: &mut Criterion) {
-    let cells = default_matrix(1, &[0, 1]);
-    let cfg = RuntimeConfig::small();
+    let registry = StudyRegistry::builtin();
+    let study = registry.get("faults").expect("faults study registered");
+    let campaign = Campaign::new(study, StudyOpts::default()).expect("default opts are valid");
     let mut group = c.benchmark_group("batch_matrix");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(cells.len() as u64));
+    group.throughput(Throughput::Elements(campaign.labels().len() as u64));
     for threads in [1usize, 2, 4, 8] {
         let runner = BatchRunner::new(threads);
         group.bench_with_input(
             BenchmarkId::from_parameter(threads),
             &runner,
-            |b, runner| b.iter(|| run_matrix(runner, &cells, &cfg).len()),
+            |b, runner| b.iter(|| campaign.run_all(runner).len()),
         );
     }
     group.finish();

@@ -6,26 +6,25 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use giantsan_bench::{bench_config, plans_for};
-use giantsan_harness::{run_planned, Tool};
+use giantsan_bench::plans_for;
+use giantsan_harness::Tool;
 use giantsan_workloads::{traversal_program, Pattern};
 
 const TOOLS: [Tool; 3] = [Tool::Native, Tool::GiantSan, Tool::Asan];
 
 fn bench_traversals(c: &mut Criterion) {
-    let cfg = bench_config();
     for pattern in Pattern::ALL {
         for size in [4096u64, 16384] {
             let (prog, inputs) = traversal_program(pattern, size, 1);
             let mut group = c.benchmark_group(format!("fig11/{}/{}", pattern.name(), size));
             group.sample_size(20);
-            for (tool, plan) in plans_for(&prog, &TOOLS) {
+            for (spec, plan) in plans_for(&prog, &TOOLS) {
                 group.bench_with_input(
-                    BenchmarkId::from_parameter(tool.name()),
+                    BenchmarkId::from_parameter(spec.tool().name()),
                     &plan,
                     |b, plan| {
                         b.iter(|| {
-                            let out = run_planned(tool, &prog, plan, &inputs, &cfg);
+                            let out = spec.run_planned(&prog, plan, &inputs);
                             assert!(out.result.reports.is_empty());
                             out.result.checksum
                         })

@@ -7,13 +7,14 @@
 //!   wall-clock realisation of the analytic overhead model, and the group
 //!   where the word-wide guardian walk shows up for ASan.
 //! * `interp_dispatch/<pattern>` — what does monomorphization buy? The same
-//!   GiantSan run through the statically-dispatched [`run_planned`] path
-//!   versus a boxed tool through [`giantsan_ir::run_dyn`].
+//!   GiantSan run through the statically-dispatched
+//!   [`giantsan_harness::SessionSpec::run_planned`] path versus a boxed
+//!   session through [`giantsan_ir::run_dyn`].
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use giantsan_bench::{bench_config, plans_for, traversal_cases};
-use giantsan_harness::{run_planned, Tool};
+use giantsan_harness::Tool;
 use giantsan_ir::{run_dyn, ExecConfig};
 use giantsan_workloads::Pattern;
 
@@ -26,12 +27,12 @@ const TOOLS: [Tool; 5] = [
 ];
 
 fn bench_interp_throughput(c: &mut Criterion) {
-    let cfg = bench_config();
     for case in traversal_cases(&[4096, 65536]) {
         let mut group = c.benchmark_group(format!("interp_throughput/{}", case.label()));
         group.sample_size(20);
         group.throughput(Throughput::Bytes(case.size));
-        for (tool, plan) in plans_for(&case.program, &TOOLS) {
+        for (spec, plan) in plans_for(&case.program, &TOOLS) {
+            let tool = spec.tool();
             // LFP's anchor-relative bounds flag every reverse-traversal
             // access (a known baseline artifact); everyone else must be
             // report-free on these in-bounds workloads.
@@ -41,7 +42,7 @@ fn bench_interp_throughput(c: &mut Criterion) {
                 &plan,
                 |b, plan| {
                     b.iter(|| {
-                        let out = run_planned(tool, &case.program, plan, &case.inputs, &cfg);
+                        let out = spec.run_planned(&case.program, plan, &case.inputs);
                         assert!(!must_be_clean || out.result.reports.is_empty());
                         out.result.checksum
                     })
@@ -53,21 +54,21 @@ fn bench_interp_throughput(c: &mut Criterion) {
 }
 
 fn bench_dispatch(c: &mut Criterion) {
-    let cfg = bench_config();
+    let spec = Tool::GiantSan.builder().config(bench_config()).spec();
     let exec = ExecConfig::default();
     for case in traversal_cases(&[16384]) {
-        let plan = Tool::GiantSan.plan(&case.program);
+        let plan = spec.plan(&case.program);
         let mut group = c.benchmark_group(format!("interp_dispatch/{}", case.pattern.name()));
         group.sample_size(20);
         group.bench_function("monomorphized", |b| {
             b.iter(|| {
-                let out = run_planned(Tool::GiantSan, &case.program, &plan, &case.inputs, &cfg);
+                let out = spec.run_planned(&case.program, &plan, &case.inputs);
                 out.result.checksum
             })
         });
         group.bench_function("dyn", |b| {
             b.iter(|| {
-                let mut san = Tool::GiantSan.sanitizer(&cfg);
+                let mut san = spec.session();
                 let out = run_dyn(&case.program, &case.inputs, san.as_mut(), &plan, &exec);
                 out.checksum
             })

@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use giantsan_bench::{bench_config, plans_for};
-use giantsan_harness::{run_planned, Tool};
+use giantsan_bench::plans_for;
+use giantsan_harness::Tool;
 use giantsan_workloads::spec_suite;
 
 const TOOLS: [Tool; 5] = [
@@ -19,7 +19,6 @@ const TOOLS: [Tool; 5] = [
 ];
 
 fn bench_spec(c: &mut Criterion) {
-    let cfg = bench_config();
     // A representative subset keeps the default bench run short; pass
     // `--bench table2_spec -- <filter>` to focus on one row.
     let subset = [
@@ -38,13 +37,13 @@ fn bench_spec(c: &mut Criterion) {
         }
         let mut group = c.benchmark_group(format!("table2/{}", w.id));
         group.sample_size(10);
-        for (tool, plan) in plans_for(&w.program, &TOOLS) {
+        for (spec, plan) in plans_for(&w.program, &TOOLS) {
             group.bench_with_input(
-                BenchmarkId::from_parameter(tool.name()),
+                BenchmarkId::from_parameter(spec.tool().name()),
                 &plan,
                 |b, plan| {
                     b.iter(|| {
-                        let out = run_planned(tool, &w.program, plan, &w.inputs, &cfg);
+                        let out = spec.run_planned(&w.program, plan, &w.inputs);
                         assert!(out.result.reports.is_empty());
                         out.result.checksum
                     })

@@ -21,15 +21,22 @@
 
 use giantsan_baselines::Asan;
 use giantsan_core::GiantSan;
-use giantsan_harness::Tool;
-use giantsan_ir::Program;
+use giantsan_harness::{SessionSpec, Tool};
+use giantsan_ir::{CheckPlan, Program};
 use giantsan_runtime::{Allocation, Region, RuntimeConfig, Sanitizer};
 use giantsan_workloads::{traversal_program, Pattern};
 
-/// Builds the (tool, plan) pairs for a program, reusing plans across
-/// criterion iterations.
-pub fn plans_for(program: &Program, tools: &[Tool]) -> Vec<(Tool, giantsan_ir::CheckPlan)> {
-    tools.iter().map(|t| (*t, t.plan(program))).collect()
+/// Builds a bench-config session spec and its plan for `program` per tool,
+/// reusing plans across criterion iterations.
+pub fn plans_for(program: &Program, tools: &[Tool]) -> Vec<(SessionSpec, CheckPlan)> {
+    tools
+        .iter()
+        .map(|t| {
+            let spec = t.builder().config(bench_config()).spec();
+            let plan = spec.plan(program);
+            (spec, plan)
+        })
+        .collect()
 }
 
 /// The runtime configuration used by all wall-clock benches.

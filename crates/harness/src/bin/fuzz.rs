@@ -27,9 +27,9 @@ use std::collections::BTreeMap;
 use std::env;
 use std::process::ExitCode;
 
-use giantsan_harness::{run_tool, BatchRunner, Tool};
+use giantsan_harness::{BatchRunner, RunOutcome, Tool};
 use giantsan_runtime::RuntimeConfig;
-use giantsan_workloads::fuzz::{buggy_program, safe_program, InjectedBug};
+use giantsan_workloads::fuzz::{buggy_program, safe_program, FuzzProgram, InjectedBug};
 
 const TOOLS: [Tool; 5] = [
     Tool::GiantSan,
@@ -76,7 +76,12 @@ fn main() -> ExitCode {
         }
     }
     let runner = BatchRunner::new(threads);
-    let cfg = RuntimeConfig::small();
+    let run = |tool: Tool, fp: &FuzzProgram| -> RunOutcome {
+        tool.builder()
+            .config(RuntimeConfig::small())
+            .spec()
+            .run(&fp.program, &fp.inputs)
+    };
     let mut failures = 0u32;
     let seed_list: Vec<u64> = (0..seeds).collect();
 
@@ -88,11 +93,11 @@ fn main() -> ExitCode {
     );
     let safe_verdicts = runner.map(&seed_list, |_, &seed| {
         let fp = safe_program(seed);
-        let native = run_tool(Tool::Native, &fp.program, &fp.inputs, &cfg);
+        let native = run(Tool::Native, &fp);
         TOOLS
             .iter()
             .map(|&tool| {
-                let out = run_tool(tool, &fp.program, &fp.inputs, &cfg);
+                let out = run(tool, &fp);
                 SafeVerdict {
                     false_positive: out.detected().then(|| match out.result.reports.first() {
                         Some(r) => r.to_string(),
@@ -143,7 +148,7 @@ fn main() -> ExitCode {
         .collect();
     let missed_matrix = runner.map(&cells, |_, &(bug, seed)| {
         let fp = buggy_program(seed, bug);
-        TOOLS.map(|tool| !run_tool(tool, &fp.program, &fp.inputs, &cfg).detected())
+        TOOLS.map(|tool| !run(tool, &fp).detected())
     });
     for (bi, bug) in InjectedBug::ALL.iter().enumerate() {
         let mut missed = [0u32; TOOLS.len()];

@@ -15,7 +15,8 @@
 
 use giantsan_runtime::Counters;
 
-use crate::tool::{RunOutcome, Tool};
+use crate::session::RunOutcome;
+use crate::tool::Tool;
 
 /// Per-operation weights (arbitrary time units; think "nanoseconds").
 #[derive(Debug, Clone, PartialEq)]
@@ -121,9 +122,15 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tool::run_tool;
-    use giantsan_ir::{Expr, ProgramBuilder};
+    use giantsan_ir::{Expr, Program, ProgramBuilder};
     use giantsan_runtime::RuntimeConfig;
+
+    fn run(tool: Tool, prog: &Program) -> RunOutcome {
+        tool.builder()
+            .config(RuntimeConfig::small())
+            .spec()
+            .run(prog, &[])
+    }
 
     #[test]
     fn geomean_basics() {
@@ -143,14 +150,9 @@ mod tests {
         b.free(p);
         let prog = b.build();
         let m = CostModel::default();
-        let cfg = RuntimeConfig::small();
-        let native = run_tool(Tool::Native, &prog, &[], &cfg);
-        let gs = m.ratio_percent(
-            Tool::GiantSan,
-            &native,
-            &run_tool(Tool::GiantSan, &prog, &[], &cfg),
-        );
-        let asan = m.ratio_percent(Tool::Asan, &native, &run_tool(Tool::Asan, &prog, &[], &cfg));
+        let native = run(Tool::Native, &prog);
+        let gs = m.ratio_percent(Tool::GiantSan, &native, &run(Tool::GiantSan, &prog));
+        let asan = m.ratio_percent(Tool::Asan, &native, &run(Tool::Asan, &prog));
         assert!(gs < asan, "GiantSan {gs:.1}% !< ASan {asan:.1}%");
         assert!(gs < 115.0, "promoted loop should be nearly free: {gs:.1}%");
         assert!(asan > 150.0, "ASan pays per access: {asan:.1}%");
@@ -163,7 +165,7 @@ mod tests {
         b.store(p, 0i64, 8, 1i64);
         let prog = b.build();
         let m = CostModel::default();
-        let native = run_tool(Tool::Native, &prog, &[], &RuntimeConfig::small());
+        let native = run(Tool::Native, &prog);
         let r = m.ratio_percent(Tool::Native, &native, &native);
         assert!((r - 100.0).abs() < 1e-9);
     }

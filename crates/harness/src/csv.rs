@@ -158,26 +158,6 @@ pub fn plan_passes_rows(cell: &crate::experiments::plan::PlanCell) -> String {
     out
 }
 
-/// Serialises the plan study's provenance traces (one row per site per
-/// (workload, tool) cell: fate, deciding pass, recorded reasoning).
-pub fn plan_provenance_csv(s: &crate::experiments::plan::PlanStudy) -> String {
-    let mut out = String::from(PLAN_PROVENANCE_HEADER);
-    for cell in &s.cells {
-        out.push_str(&plan_provenance_rows(cell));
-    }
-    out
-}
-
-/// Serialises the plan study's per-pass statistics (one row per pipeline
-/// stage per (workload, tool) cell).
-pub fn plan_passes_csv(s: &crate::experiments::plan::PlanStudy) -> String {
-    let mut out = String::from(PLAN_PASSES_HEADER);
-    for cell in &s.cells {
-        out.push_str(&plan_passes_rows(cell));
-    }
-    out
-}
-
 /// Serialises the fault-injection campaign (one row per cell: label,
 /// verdict, interpreter digest, recovery counters).
 pub fn faults_csv(s: &crate::experiments::fault_study::FaultStudy) -> String {
@@ -204,20 +184,12 @@ pub fn faults_csv(s: &crate::experiments::fault_study::FaultStudy) -> String {
 ///
 /// [`Counters::FIELD_NAMES`]: giantsan_runtime::Counters::FIELD_NAMES
 pub fn trace_counters_csv(s: &crate::experiments::trace::TraceStudy) -> String {
-    trace_counters_csv_runs(&s.runs)
-}
-
-/// [`trace_counters_csv`] over bare runs — the campaign path, which rebuilds
-/// runs from shard payloads without a full [`TraceStudy`].
-///
-/// [`TraceStudy`]: crate::experiments::trace::TraceStudy
-pub fn trace_counters_csv_runs(runs: &[crate::experiments::trace::TraceRun]) -> String {
     let mut out = String::from("cell");
     for name in giantsan_runtime::Counters::FIELD_NAMES {
         let _ = write!(out, ",{name}");
     }
     out.push('\n');
-    for run in runs {
+    for run in &s.runs {
         let _ = write!(out, "{}", run.cell);
         for v in run.counters.field_values() {
             let _ = write!(out, ",{v}");
@@ -251,10 +223,20 @@ pub fn fig11_csv(f: &Fig11) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+    use crate::study::{Record, Study, StudyOpts};
+    use crate::BatchRunner;
+
+    fn records(study: &dyn Study, opts: &StudyOpts) -> Vec<Record> {
+        Campaign::new(study, opts.clone())
+            .unwrap()
+            .run_all(&BatchRunner::default())
+    }
 
     #[test]
     fn table4_csv_round_trips_structure() {
-        let t = crate::experiments::table4::table4();
+        let opts = StudyOpts::default();
+        let t = Table4::from_records(&opts, &records(&t4::Table4Entry, &opts));
         let csv = table4_csv(&t);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), t.rows.len() + 1);
@@ -272,26 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_csvs_cover_every_cell() {
-        let s = crate::experiments::plan::plan_study(1);
-        let prov = plan_provenance_csv(&s);
-        let total_sites: usize = s.cells.iter().map(|c| c.analysis.fates.len()).sum();
-        assert_eq!(prov.lines().count(), total_sites + 1);
-        assert!(prov.starts_with("workload,tool,site,fate,pass,reason"));
-        assert!(
-            prov.contains("figure8,GiantSan,0,Promoted,promote"),
-            "{prov}"
-        );
-        let passes = plan_passes_csv(&s);
-        assert_eq!(passes.lines().count(), s.cells.len() * 9 + 1);
-        assert!(passes.contains("figure8,GiantSan,cache,1,"), "{passes}");
-    }
-
-    #[test]
     fn trace_counters_csv_uses_the_canonical_field_list() {
+        use crate::experiments::trace::{TraceEntry, TraceStudy};
         use giantsan_runtime::Counters;
-        let s =
-            crate::experiments::trace::trace_study("figure8", crate::Tool::GiantSan, 1).unwrap();
+        let opts = StudyOpts::default();
+        let s = TraceStudy::from_records(&opts, &records(&TraceEntry, &opts)).unwrap();
         let csv = trace_counters_csv(&s);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), s.runs.len() + 1);
@@ -306,7 +273,9 @@ mod tests {
 
     #[test]
     fn fig10_csv_has_all_rows() {
-        let f = crate::experiments::fig10::fig10(1);
+        use crate::experiments::fig10::Fig10Entry;
+        let opts = StudyOpts::default();
+        let f = Fig10::from_records(&opts, &records(&Fig10Entry, &opts));
         let csv = fig10_csv(&f);
         assert_eq!(csv.lines().count(), f.rows.len() + 1);
         assert!(csv.contains("519.lbm_r"));

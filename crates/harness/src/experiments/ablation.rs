@@ -12,7 +12,7 @@ use crate::cost::CostModel;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
-use crate::tool::{run_tool, Tool};
+use crate::tool::Tool;
 
 /// One reverse-traversal configuration's outcome.
 #[derive(Debug, Clone)]
@@ -29,16 +29,12 @@ pub struct ReverseRow {
 }
 
 /// The §5.4 study: cost and accuracy of each underflow-handling mode on a
-/// reverse traversal, with ASan as the reference point.
-pub fn reverse_ablation(size: u64, rounds: u64) -> Vec<ReverseRow> {
-    reverse_ablation_with(&BatchRunner::default(), size, rounds)
-}
-
-/// [`reverse_ablation`] on an explicit runner (one cell per configuration).
+/// reverse traversal, with ASan as the reference point (one batch cell per
+/// configuration).
 pub fn reverse_ablation_with(runner: &BatchRunner, size: u64, rounds: u64) -> Vec<ReverseRow> {
     let model = CostModel::default();
     let (prog, inputs) = traversal_program(Pattern::Reverse, size, rounds);
-    let plan = Tool::GiantSan.plan(&prog);
+    let plan = Tool::GiantSan.builder().spec().plan(&prog);
     let configs: [(&'static str, Option<GiantSanOptions>); 4] = [
         (
             "GiantSan (anchored underflow)",
@@ -61,7 +57,7 @@ pub fn reverse_ablation_with(runner: &BatchRunner, size: u64, rounds: u64) -> Ve
                 .options(opts.clone())
                 .spec()
                 .run_planned(&prog, &plan, &inputs),
-            None => run_tool(Tool::Asan, &prog, &inputs, &RuntimeConfig::default()),
+            None => Tool::Asan.builder().spec().run(&prog, &inputs),
         };
         assert!(
             out.result.reports.is_empty(),
@@ -94,7 +90,12 @@ fn catches_underflow_bypass(options: Option<&GiantSanOptions>) -> bool {
             .spec()
             .run(&prog, &inputs)
             .detected(),
-        None => run_tool(Tool::Asan, &prog, &inputs, &cfg).detected(),
+        None => Tool::Asan
+            .builder()
+            .config(cfg)
+            .spec()
+            .run(&prog, &inputs)
+            .detected(),
     }
 }
 
@@ -110,12 +111,8 @@ pub struct QuarantineRow {
 }
 
 /// The quarantine study: UAF detection across churn volumes for several
-/// quarantine capacities (the §5.4 "quarantine bypassing" limitation).
-pub fn quarantine_ablation() -> Vec<QuarantineRow> {
-    quarantine_ablation_with(&BatchRunner::default())
-}
-
-/// [`quarantine_ablation`] on an explicit runner (one cell per capacity).
+/// quarantine capacities (the §5.4 "quarantine bypassing" limitation; one
+/// batch cell per capacity).
 pub fn quarantine_ablation_with(runner: &BatchRunner) -> Vec<QuarantineRow> {
     let churn_levels: Vec<u64> = vec![0, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20];
     let caps: Vec<u64> = vec![0, 8 << 10, 128 << 10, 1 << 20, 16 << 20];
@@ -163,14 +160,9 @@ pub struct PassAblationRow {
 }
 
 /// The planner pass-subset sweep: full GiantSan against dropping one
-/// optimisation pass at a time. With profiles now declarative
-/// [`giantsan_analysis::PassSet`]s, each variant is literally the full
-/// profile minus one pass.
-pub fn pass_ablation() -> Vec<PassAblationRow> {
-    pass_ablation_with(&BatchRunner::default())
-}
-
-/// [`pass_ablation`] on an explicit runner (one cell per variant).
+/// optimisation pass at a time (one batch cell per variant). With profiles
+/// now declarative [`giantsan_analysis::PassSet`]s, each variant is
+/// literally the full profile minus one pass.
 pub fn pass_ablation_with(runner: &BatchRunner) -> Vec<PassAblationRow> {
     let variants: [(&'static str, ToolProfile); 5] = [
         ("GiantSan (all passes)", ToolProfile::giantsan()),
@@ -214,21 +206,6 @@ pub fn pass_ablation_with(runner: &BatchRunner) -> Vec<PassAblationRow> {
             shadow_loads: out.counters.shadow_loads,
         }
     })
-}
-
-/// Renders all three studies.
-pub fn render(size: u64, rounds: u64) -> String {
-    render_with(&BatchRunner::default(), size, rounds)
-}
-
-/// [`render`] on an explicit runner.
-pub fn render_with(runner: &BatchRunner, size: u64, rounds: u64) -> String {
-    format!(
-        "{}{}{}",
-        reverse_block(runner, size, rounds),
-        quarantine_block(runner),
-        pass_block(runner)
-    )
 }
 
 /// The reverse-traversal section of the report.
@@ -367,7 +344,7 @@ mod tests {
 
     #[test]
     fn reverse_mitigation_is_cheapest_accurate_mode() {
-        let rows = reverse_ablation(4096, 1);
+        let rows = reverse_ablation_with(&BatchRunner::default(), 4096, 1);
         let by_label = |l: &str| rows.iter().find(|r| r.label.contains(l)).unwrap();
         let anchored = by_label("anchored underflow");
         let mitigated = by_label("lower-bound cache");
@@ -389,7 +366,7 @@ mod tests {
 
     #[test]
     fn pass_subsets_shift_fates_down_the_pipeline() {
-        let rows = pass_ablation();
+        let rows = pass_ablation_with(&BatchRunner::default());
         let by = |l: &str| rows.iter().find(|r| r.label == l).unwrap();
         let full = by("GiantSan (all passes)");
         assert!(full.promoted > 0 && full.cached > 0);
@@ -407,7 +384,7 @@ mod tests {
 
     #[test]
     fn quarantine_detection_is_monotone_in_capacity() {
-        let rows = quarantine_ablation();
+        let rows = quarantine_ablation_with(&BatchRunner::default());
         for w in rows.windows(2) {
             assert!(
                 w[1].detected >= w[0].detected,

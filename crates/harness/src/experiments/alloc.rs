@@ -23,9 +23,9 @@ use giantsan_core::GiantSan;
 use giantsan_runtime::{
     Allocation, HeapBackend, Region, RuntimeConfig, Sanitizer, ThreadCachedAllocator,
 };
+use giantsan_telemetry::fnv1a;
 
 use crate::json::Json;
-use crate::matrix::fnv1a;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
 

@@ -10,11 +10,10 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::spec_suite;
 
-use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
-use crate::tool::{run_tool, Tool};
+use crate::tool::Tool;
 
 /// One benchmark's density numbers.
 #[derive(Debug, Clone)]
@@ -53,30 +52,22 @@ pub struct DensityStudy {
     pub rows: Vec<DensityRow>,
 }
 
-/// Measures achieved protection density over the SPEC-like suite.
-pub fn density_study(scale: u64) -> DensityStudy {
-    density_study_with(&BatchRunner::default(), scale)
-}
-
-/// [`density_study`] on an explicit runner (one cell per workload).
-pub fn density_study_with(runner: &BatchRunner, scale: u64) -> DensityStudy {
-    let cfg = RuntimeConfig::default();
-    let suite = spec_suite(scale);
-    let rows = runner.map(&suite, |_, w| {
-        let gs = run_tool(Tool::GiantSan, &w.program, &w.inputs, &cfg);
-        let asan = run_tool(Tool::Asan, &w.program, &w.inputs, &cfg);
-        DensityRow {
-            id: w.id.clone(),
-            // native_work counts accesses and 8-byte memop units.
-            traffic_bytes: gs.result.native_work * 8,
-            giantsan_loads: gs.counters.shadow_loads,
-            asan_loads: asan.counters.shadow_loads,
-        }
-    });
-    DensityStudy { rows }
-}
-
 impl DensityStudy {
+    /// Rebuilds the study from [`DensityEntry`]'s records (one per
+    /// workload).
+    pub fn from_records(_opts: &StudyOpts, records: &[Record]) -> DensityStudy {
+        let rows = records
+            .iter()
+            .map(|r| DensityRow {
+                id: study::req_str(&r.payload, "id").to_string(),
+                traffic_bytes: study::req_u64(&r.payload, "traffic_bytes"),
+                giantsan_loads: study::req_u64(&r.payload, "giantsan_loads"),
+                asan_loads: study::req_u64(&r.payload, "asan_loads"),
+            })
+            .collect();
+        DensityStudy { rows }
+    }
+
     /// Median metadata-traffic reduction across benchmarks.
     pub fn median_reduction(&self) -> f64 {
         let mut r: Vec<f64> = self.rows.iter().map(|x| x.reduction()).collect();
@@ -133,32 +124,29 @@ impl Study for DensityEntry {
     }
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
-        let cfg = RuntimeConfig::default();
         let suite = spec_suite(opts.scale);
         let w = &suite[index];
-        let gs = run_tool(Tool::GiantSan, &w.program, &w.inputs, &cfg);
-        let asan = run_tool(Tool::Asan, &w.program, &w.inputs, &cfg);
+        let run = |tool: Tool| {
+            tool.builder()
+                .config(RuntimeConfig::default())
+                .spec()
+                .run(&w.program, &w.inputs)
+        };
+        let gs = run(Tool::GiantSan);
+        let asan = run(Tool::Asan);
         Json::obj()
             .field("id", w.id.as_str())
+            // native_work counts accesses and 8-byte memop units.
             .field("traffic_bytes", gs.result.native_work * 8)
             .field("giantsan_loads", gs.counters.shadow_loads)
             .field("asan_loads", asan.counters.shadow_loads)
     }
 
-    fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let rows: Vec<DensityRow> = records
-            .iter()
-            .map(|r| DensityRow {
-                id: study::req_str(&r.payload, "id").to_string(),
-                traffic_bytes: study::req_u64(&r.payload, "traffic_bytes"),
-                giantsan_loads: study::req_u64(&r.payload, "giantsan_loads"),
-                asan_loads: study::req_u64(&r.payload, "asan_loads"),
-            })
-            .collect();
+    fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
         Ok(StudyOutput {
             report: format!(
                 "== Supporting study: achieved protection density ==\n\n{}\n",
-                DensityStudy { rows }.render()
+                DensityStudy::from_records(opts, records).render()
             ),
             ..StudyOutput::default()
         })
@@ -168,10 +156,16 @@ impl Study for DensityEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchRunner;
+    use crate::campaign::Campaign;
 
     #[test]
     fn density_exceeds_the_flat_cap() {
-        let d = density_study(1);
+        let opts = StudyOpts::default();
+        let records = Campaign::new(&DensityEntry, opts.clone())
+            .unwrap()
+            .run_all(&BatchRunner::default());
+        let d = DensityStudy::from_records(&opts, &records);
         assert_eq!(d.rows.len(), 24);
         for r in &d.rows {
             assert!(

@@ -11,14 +11,13 @@
 //! shift the job digest, which is what the chaos drill checks.
 
 use giantsan_runtime::RuntimeConfig;
+use giantsan_telemetry::Fnv1a;
 use giantsan_workloads::fuzz::safe_program;
 
 use crate::faults::splitmix64;
 use crate::json::Json;
-use crate::matrix::Fnv1a;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
-use crate::tool::run_tool;
 
 /// `repro echo` as a study: `--scale` cells of `--rounds` tiny sessions.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +33,7 @@ impl Study for EchoEntry {
     }
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
-        let cfg = RuntimeConfig::small();
+        let spec = opts.tool.builder().config(RuntimeConfig::small()).spec();
         let mut state = opts.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut digest = Fnv1a::new();
         let mut steps = 0u64;
@@ -47,7 +46,7 @@ impl Study for EchoEntry {
             giantsan_ir::watchdog::poll();
             let seed = splitmix64(&mut state);
             let w = safe_program(seed);
-            let out = run_tool(opts.tool, &w.program, &w.inputs, &cfg);
+            let out = spec.run(&w.program, &w.inputs);
             digest.eat(&out.result.digest().to_le_bytes());
             digest.eat(&out.counters.shadow_loads.to_le_bytes());
             steps += out.result.steps;

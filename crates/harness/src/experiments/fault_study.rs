@@ -15,12 +15,11 @@
 //! golden (`tests/golden/faults_digest.txt`).
 
 use giantsan_runtime::{RecoveryPolicy, RuntimeConfig};
-use giantsan_workloads::fuzz::InjectedBug;
+use giantsan_telemetry::{fnv1a, Fnv1a};
+use giantsan_workloads::fuzz::{buggy_program, safe_program, InjectedBug};
 
-use crate::batch::BatchRunner;
 use crate::faults::{splitmix64, FaultKind, FaultPlan};
 use crate::json::Json;
-use crate::matrix::{fnv1a, Cell, CellWorkload, Fnv1a};
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
 use crate::tool::Tool;
@@ -39,8 +38,9 @@ pub const FAULT_AXES: [&str; 5] = [
 pub struct FaultCell {
     /// Tool under test.
     pub tool: Tool,
-    /// Workload (fuzz corpus: one safe shape plus each bug geometry).
-    pub workload: CellWorkload,
+    /// Workload: the fuzz corpus's safe program (`None`) or one with the
+    /// given bug geometry injected.
+    pub bug: Option<InjectedBug>,
     /// Index into [`FAULT_AXES`].
     pub fault_axis: usize,
     /// Per-cell seed (combined with the campaign seed).
@@ -48,12 +48,12 @@ pub struct FaultCell {
 }
 
 impl FaultCell {
-    /// Stable, human-readable cell id.
+    /// Stable, human-readable cell id. It seeds the cell's fault plan, so
+    /// it must never change.
     pub fn label(&self) -> String {
-        let w = match &self.workload {
-            CellWorkload::FuzzSafe => "fuzz-safe".to_string(),
-            CellWorkload::FuzzBuggy(bug) => format!("fuzz-{}", bug.name()),
-            other => format!("{other:?}"),
+        let w = match self.bug {
+            None => "fuzz-safe".to_string(),
+            Some(bug) => format!("fuzz-{}", bug.name()),
         };
         format!(
             "{}/{w}/{}/r{}",
@@ -61,11 +61,6 @@ impl FaultCell {
             FAULT_AXES[self.fault_axis],
             self.seed
         )
-    }
-
-    /// Whether the workload carries an injected bug a sanitizer should find.
-    pub fn is_buggy(&self) -> bool {
-        matches!(self.workload, CellWorkload::FuzzBuggy(_))
     }
 
     /// Derives this cell's fault plan from the campaign seed.
@@ -113,26 +108,23 @@ impl FaultCell {
             .to_builder()
             .recovery(RecoveryPolicy::recover())
             .build();
-        let cell = Cell {
-            tool: self.tool,
-            workload: self.workload.clone(),
-            size: 0,
-            seed: self.seed,
+        let fp = match self.bug {
+            None => safe_program(self.seed),
+            Some(bug) => buggy_program(self.seed, bug),
         };
-        let (program, inputs) = cell.materialize();
         let out = self
             .tool
             .builder()
             .config(cfg)
             .faults(self.plan(campaign_seed))
             .spec()
-            .run(&program, &inputs);
+            .run(&fp.program, &fp.inputs);
         let verdict = match out.result.termination {
             giantsan_ir::Termination::Crashed { .. } | giantsan_ir::Termination::StepLimit => {
                 Verdict::Crashed
             }
             giantsan_ir::Termination::Finished | giantsan_ir::Termination::Halted => {
-                if self.is_buggy() {
+                if self.bug.is_some() {
                     if out.result.reports.is_empty() {
                         Verdict::Missed
                     } else {
@@ -212,8 +204,9 @@ pub struct FaultStudy {
     pub seed: u64,
     /// Per-cell outcomes, in matrix order.
     pub outcomes: Vec<FaultCellOutcome>,
-    /// Cells the batch engine quarantined (harness panics). The campaign's
-    /// promise is that this stays 0.
+    /// Cells the batch engine quarantined (harness panics), recorded as
+    /// synthetic [`Verdict::Crashed`] outcomes so the study always covers
+    /// the full matrix. The campaign's promise is that this stays 0.
     pub harness_panics: usize,
 }
 
@@ -221,14 +214,13 @@ pub struct FaultStudy {
 pub fn fault_matrix(seeds: u64) -> Vec<FaultCell> {
     let mut cells = Vec::new();
     for tool in Tool::ALL {
-        let mut workloads = vec![CellWorkload::FuzzSafe];
-        workloads.extend(InjectedBug::ALL.into_iter().map(CellWorkload::FuzzBuggy));
-        for workload in workloads {
+        let bugs = std::iter::once(None).chain(InjectedBug::ALL.map(Some));
+        for bug in bugs {
             for fault_axis in 0..FAULT_AXES.len() {
                 for seed in 0..seeds {
                     cells.push(FaultCell {
                         tool,
-                        workload: workload.clone(),
+                        bug,
                         fault_axis,
                         seed,
                     });
@@ -239,41 +231,35 @@ pub fn fault_matrix(seeds: u64) -> Vec<FaultCell> {
     cells
 }
 
-/// Runs the campaign under `runner` with panic isolation.
-///
-/// A quarantined (panicking) cell is recorded as [`Verdict::Crashed`] with a
-/// synthetic outcome, so the study always covers the full matrix.
-pub fn fault_study_with(runner: &BatchRunner, campaign_seed: u64, seeds: u64) -> FaultStudy {
-    let cells = fault_matrix(seeds);
-    let batch = runner.try_map(&cells, |_, cell| cell.run(campaign_seed));
-    let harness_panics = batch.summary.quarantined();
-    let outcomes = batch
-        .results
-        .into_iter()
-        .zip(&cells)
-        .map(|(r, cell)| {
-            r.unwrap_or_else(|| FaultCellOutcome {
-                label: cell.label(),
-                verdict: Verdict::Crashed,
-                result_digest: 0,
-                errors_recovered: 0,
-                errors_suppressed: 0,
-            })
-        })
-        .collect();
-    FaultStudy {
-        seed: campaign_seed,
-        outcomes,
-        harness_panics,
-    }
-}
-
-/// Runs the campaign with the default matrix breadth (5 seeds ⇒ 1050 cells).
-pub fn fault_study(campaign_seed: u64) -> FaultStudy {
-    fault_study_with(&BatchRunner::auto(), campaign_seed, 5)
-}
-
 impl FaultStudy {
+    /// Rebuilds the campaign from [`FaultsEntry`]'s records (one per
+    /// matrix cell; `opts.seed` is the campaign seed).
+    pub fn from_records(opts: &StudyOpts, records: &[Record]) -> Result<FaultStudy, String> {
+        let mut harness_panics = 0usize;
+        let outcomes: Vec<FaultCellOutcome> = records
+            .iter()
+            .map(|r| {
+                if let Some(true) = r.payload.get("panicked").and_then(Json::as_bool) {
+                    harness_panics += 1;
+                }
+                let verdict = study::req_str(&r.payload, "verdict");
+                Ok(FaultCellOutcome {
+                    label: r.label.clone(),
+                    verdict: Verdict::parse(verdict)
+                        .ok_or_else(|| format!("unknown verdict `{verdict}`"))?,
+                    result_digest: study::req_hex(&r.payload, "result_digest"),
+                    errors_recovered: study::req_u64(&r.payload, "errors_recovered"),
+                    errors_suppressed: study::req_u64(&r.payload, "errors_suppressed"),
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(FaultStudy {
+            seed: opts.seed,
+            outcomes,
+            harness_panics,
+        })
+    }
+
     /// FNV-1a digest over every cell's label, verdict, and result digest —
     /// the quantity CI compares against the committed golden.
     pub fn digest(&self) -> u64 {
@@ -385,9 +371,9 @@ impl FaultStudy {
 const FAULT_SEEDS: u64 = 5;
 
 /// `repro faults` as a [`Study`]: one cell per fault-matrix entry. The
-/// campaign seed is `--seed`; a panicking cell degrades to the same
-/// synthetic `crashed` outcome [`fault_study_with`] records, so sharded and
-/// monolithic digests agree even in the presence of harness panics.
+/// campaign seed is `--seed`; a panicking cell degrades to a synthetic
+/// `crashed` outcome, so sharded and monolithic digests agree even in the
+/// presence of harness panics.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultsEntry;
 
@@ -425,29 +411,7 @@ impl Study for FaultsEntry {
     }
 
     fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let mut harness_panics = 0usize;
-        let outcomes: Vec<FaultCellOutcome> = records
-            .iter()
-            .map(|r| {
-                if let Some(true) = r.payload.get("panicked").and_then(Json::as_bool) {
-                    harness_panics += 1;
-                }
-                let verdict = study::req_str(&r.payload, "verdict");
-                Ok(FaultCellOutcome {
-                    label: r.label.clone(),
-                    verdict: Verdict::parse(verdict)
-                        .ok_or_else(|| format!("unknown verdict `{verdict}`"))?,
-                    result_digest: study::req_hex(&r.payload, "result_digest"),
-                    errors_recovered: study::req_u64(&r.payload, "errors_recovered"),
-                    errors_suppressed: study::req_u64(&r.payload, "errors_suppressed"),
-                })
-            })
-            .collect::<Result<_, String>>()?;
-        let s = FaultStudy {
-            seed: opts.seed,
-            outcomes,
-            harness_panics,
-        };
+        let s = FaultStudy::from_records(opts, records)?;
         Ok(StudyOutput {
             report: format!(
                 "== Fault-injection campaign (recover mode, seed {:#x}) ==\n\n{}\n",
@@ -467,22 +431,53 @@ impl Study for FaultsEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchRunner;
+    use crate::campaign::Campaign;
 
     #[test]
     fn matrix_covers_a_thousand_cells_at_default_breadth() {
-        assert!(fault_matrix(5).len() >= 1000);
+        assert!(fault_matrix(FAULT_SEEDS).len() >= 1000);
     }
 
     #[test]
-    fn json_export_carries_the_digested_residue() {
-        let s = fault_study_with(&BatchRunner::serial(), 7, 1);
+    fn labels_name_the_fuzz_workload() {
+        let cells = fault_matrix(1);
+        assert_eq!(cells[0].label(), "Native/fuzz-safe/bit-flip/r0");
+        let bug = InjectedBug::ALL[0];
+        let buggy = FaultCell {
+            tool: Tool::GiantSan,
+            bug: Some(bug),
+            fault_axis: 4,
+            seed: 3,
+        };
+        assert_eq!(
+            buggy.label(),
+            format!("GiantSan/fuzz-{}/step-budget/r3", bug.name())
+        );
+    }
+
+    #[test]
+    fn campaign_renders_every_verdict_and_its_digest() {
+        let opts = StudyOpts {
+            seed: 7,
+            ..StudyOpts::default()
+        };
+        let records = Campaign::new(&FaultsEntry, opts.clone())
+            .unwrap()
+            .run_all(&BatchRunner::default());
+        let s = FaultStudy::from_records(&opts, &records).unwrap();
+        assert_eq!(s.harness_panics, 0);
+        // At minimum, buggy cells under most tools stay detected, and the
+        // OOM/step-budget cells abort.
+        assert!(s.outcomes.iter().any(|o| o.verdict == Verdict::Detected));
+        assert!(s.outcomes.iter().any(|o| o.verdict == Verdict::Crashed));
+
+        // The JSON export carries the digested residue.
         let j = s.to_json();
         assert!(j.starts_with("{\n  \"study\": \"faults\""));
         assert!(j.contains(&format!("\"digest\": \"{:#018x}\"", s.digest())));
         assert_eq!(j.matches("\"verdict\"").count(), s.outcomes.len());
         assert!(j.contains("\"harness_panics\": 0"));
-        // Thread-count invariant, like the digest itself.
-        assert_eq!(j, fault_study_with(&BatchRunner::new(4), 7, 1).to_json());
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 
@@ -498,27 +493,5 @@ mod tests {
                 c.label()
             );
         }
-    }
-
-    #[test]
-    fn small_campaign_is_thread_invariant_and_panic_free() {
-        let serial = fault_study_with(&BatchRunner::serial(), 0xdead, 1);
-        let parallel = fault_study_with(&BatchRunner::new(4), 0xdead, 1);
-        assert_eq!(serial.digest(), parallel.digest());
-        assert_eq!(serial.harness_panics, 0);
-        assert_eq!(parallel.harness_panics, 0);
-        // The campaign exercises every verdict bucket being possible; at
-        // minimum, buggy cells under most tools stay detected.
-        assert!(serial
-            .outcomes
-            .iter()
-            .any(|o| o.verdict == Verdict::Detected));
-        assert!(
-            serial
-                .outcomes
-                .iter()
-                .any(|o| o.verdict == Verdict::Crashed),
-            "OOM/step-budget cells abort"
-        );
     }
 }

@@ -3,12 +3,11 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::{figure11_sizes, traversal_program, Pattern};
 
-use crate::batch::BatchRunner;
 use crate::cost::CostModel;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
-use crate::tool::{run_tool, Tool};
+use crate::tool::Tool;
 
 /// Tools plotted in the figure.
 pub const SERIES: [Tool; 3] = [Tool::Native, Tool::GiantSan, Tool::Asan];
@@ -40,53 +39,30 @@ pub struct Fig11 {
     pub series: Vec<Fig11Series>,
 }
 
-/// Runs the traversal study; `rounds` repeats each traversal to steady the
-/// wall-clock numbers (the paper repeats 100×).
-pub fn fig11(rounds: u64) -> Fig11 {
-    fig11_with(&BatchRunner::default(), rounds)
-}
-
-/// [`fig11`] on an explicit runner (one cell per (pattern, size) sample).
-pub fn fig11_with(runner: &BatchRunner, rounds: u64) -> Fig11 {
-    let model = CostModel::default();
-    let cfg = RuntimeConfig::default();
-    let sizes = figure11_sizes();
-    let cells: Vec<(Pattern, u64)> = Pattern::ALL
-        .iter()
-        .flat_map(|&p| sizes.iter().map(move |&s| (p, s)))
-        .collect();
-    let points = runner.map(&cells, |_, &(pattern, size)| {
-        let (prog, inputs) = traversal_program(pattern, size, rounds);
-        let mut units = Vec::new();
-        let mut wall_us = Vec::new();
-        for tool in SERIES {
-            let out = run_tool(tool, &prog, &inputs, &cfg);
-            assert!(
-                out.result.reports.is_empty(),
-                "{pattern:?}/{size}: {} raised reports",
-                tool.name()
-            );
-            units.push(model.native_units(&out) + model.extra_units(tool, &out.counters));
-            wall_us.push(out.wall.as_secs_f64() * 1e6);
-        }
-        Fig11Point {
-            size,
-            units,
-            wall_us,
-        }
-    });
-    let series = Pattern::ALL
-        .iter()
-        .enumerate()
-        .map(|(pi, &pattern)| Fig11Series {
-            pattern,
-            points: points[pi * sizes.len()..(pi + 1) * sizes.len()].to_vec(),
-        })
-        .collect();
-    Fig11 { series }
-}
-
 impl Fig11 {
+    /// Rebuilds the figure from [`Fig11Entry`]'s records (pattern-major,
+    /// one per (pattern, size) sample).
+    pub fn from_records(_opts: &StudyOpts, records: &[Record]) -> Fig11 {
+        let sizes = figure11_sizes();
+        let points: Vec<Fig11Point> = records
+            .iter()
+            .map(|r| Fig11Point {
+                size: study::req_u64(&r.payload, "size"),
+                units: study::req_f64s(&r.payload, "units"),
+                wall_us: study::req_f64s(&r.payload, "wall_us"),
+            })
+            .collect();
+        let series = Pattern::ALL
+            .iter()
+            .enumerate()
+            .map(|(pi, &pattern)| Fig11Series {
+                pattern,
+                points: points[pi * sizes.len()..(pi + 1) * sizes.len()].to_vec(),
+            })
+            .collect();
+        Fig11 { series }
+    }
+
     /// Mean modelled GiantSan/ASan cost ratio for one pattern (the paper's
     /// 1.48× faster random, 1.07× faster forward, 1.39× slower reverse).
     pub fn speedup_vs_asan(&self, pattern: Pattern) -> f64 {
@@ -129,7 +105,8 @@ impl Fig11 {
 }
 
 /// `repro fig11` as a [`Study`]: one cell per (pattern, size) sample,
-/// pattern-major like the figure's panels.
+/// pattern-major like the figure's panels. `--rounds` repeats each
+/// traversal to steady the wall-clock numbers (the paper repeats 100×).
 #[derive(Debug, Clone, Copy)]
 pub struct Fig11Entry;
 
@@ -148,7 +125,6 @@ impl Study for Fig11Entry {
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
         let model = CostModel::default();
-        let cfg = RuntimeConfig::default();
         let sizes = figure11_sizes();
         let pattern = Pattern::ALL[index / sizes.len()];
         let size = sizes[index % sizes.len()];
@@ -156,7 +132,11 @@ impl Study for Fig11Entry {
         let mut units = Vec::new();
         let mut wall_us = Vec::new();
         for tool in SERIES {
-            let out = run_tool(tool, &prog, &inputs, &cfg);
+            let out = tool
+                .builder()
+                .config(RuntimeConfig::default())
+                .spec()
+                .run(&prog, &inputs);
             assert!(
                 out.result.reports.is_empty(),
                 "{pattern:?}/{size}: {} raised reports",
@@ -172,25 +152,8 @@ impl Study for Fig11Entry {
             .field("wall_us", study::f64s(&wall_us))
     }
 
-    fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let sizes = figure11_sizes();
-        let points: Vec<Fig11Point> = records
-            .iter()
-            .map(|r| Fig11Point {
-                size: study::req_u64(&r.payload, "size"),
-                units: study::req_f64s(&r.payload, "units"),
-                wall_us: study::req_f64s(&r.payload, "wall_us"),
-            })
-            .collect();
-        let series = Pattern::ALL
-            .iter()
-            .enumerate()
-            .map(|(pi, &pattern)| Fig11Series {
-                pattern,
-                points: points[pi * sizes.len()..(pi + 1) * sizes.len()].to_vec(),
-            })
-            .collect();
-        let f = Fig11 { series };
+    fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
+        let f = Fig11::from_records(opts, records);
         Ok(StudyOutput {
             report: format!(
                 "== Figure 11: traversal patterns ==\n(paper: GiantSan 1.48x faster random, \
@@ -206,6 +169,19 @@ impl Study for Fig11Entry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchRunner;
+    use crate::campaign::Campaign;
+
+    fn fig11_at(rounds: u64) -> Fig11 {
+        let opts = StudyOpts {
+            rounds,
+            ..StudyOpts::default()
+        };
+        let records = Campaign::new(&Fig11Entry, opts.clone())
+            .unwrap()
+            .run_all(&BatchRunner::default());
+        Fig11::from_records(&opts, &records)
+    }
 
     #[test]
     fn shape_matches_section_5_4() {
@@ -214,7 +190,7 @@ mod tests {
         // cannot reproduce the random-vs-forward gap (it comes from cache
         // misses on ASan's shadow loads), but the signs must match: GiantSan
         // wins both cache-friendly patterns and loses the reverse one.
-        let f = fig11(1);
+        let f = fig11_at(1);
         let forward = f.speedup_vs_asan(Pattern::Forward);
         let random = f.speedup_vs_asan(Pattern::Random);
         let reverse = f.speedup_vs_asan(Pattern::Reverse);
@@ -228,7 +204,7 @@ mod tests {
 
     #[test]
     fn costs_grow_with_buffer_size() {
-        let f = fig11(1);
+        let f = fig11_at(1);
         for s in &f.series {
             for w in s.points.windows(2) {
                 assert!(

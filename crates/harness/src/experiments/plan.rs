@@ -11,7 +11,6 @@ use giantsan_analysis::{analyze, Analysis, SiteFate};
 use giantsan_ir::Program;
 use giantsan_workloads::{figure8_program, spec_workload};
 
-use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
@@ -46,13 +45,6 @@ pub struct PlanCell {
     pub analysis: Analysis,
 }
 
-/// The study: one cell per (workload × tool).
-#[derive(Debug, Clone)]
-pub struct PlanStudy {
-    /// All cells, workload-major in [`WORKLOADS`] / [`Tool::ALL`] order.
-    pub cells: Vec<PlanCell>,
-}
-
 fn workload_program(id: &str, scale: u64) -> Program {
     if id == "figure8" {
         figure8_program((100 * scale) as i64).0
@@ -63,28 +55,17 @@ fn workload_program(id: &str, scale: u64) -> Program {
     }
 }
 
-/// Runs the planner for every (workload × tool) cell.
-pub fn plan_study(scale: u64) -> PlanStudy {
-    plan_study_with(&BatchRunner::default(), scale)
-}
-
-/// [`plan_study`] on an explicit runner (one batch cell per pair).
-pub fn plan_study_with(runner: &BatchRunner, scale: u64) -> PlanStudy {
-    let mut jobs = Vec::new();
-    for workload in WORKLOADS {
-        for tool in Tool::ALL {
-            jobs.push((workload, tool));
-        }
+/// Runs the planner for cell `index` (workload-major in [`WORKLOADS`] /
+/// [`Tool::ALL`] order).
+fn plan_cell(opts: &StudyOpts, index: usize) -> PlanCell {
+    let workload = WORKLOADS[index / Tool::ALL.len()];
+    let tool = Tool::ALL[index % Tool::ALL.len()];
+    let program = workload_program(workload, opts.scale);
+    PlanCell {
+        workload,
+        tool,
+        analysis: analyze(&program, &tool.builder().spec().profile()),
     }
-    let cells = runner.map(&jobs, |_, &(workload, tool)| {
-        let program = workload_program(workload, scale);
-        PlanCell {
-            workload,
-            tool,
-            analysis: analyze(&program, &tool.profile()),
-        }
-    });
-    PlanStudy { cells }
 }
 
 /// One cell's fate counts in [`FATES`] order.
@@ -160,43 +141,6 @@ fn fate_table(rows: &[(String, String, Vec<u64>)]) -> String {
     t.render()
 }
 
-impl PlanStudy {
-    /// Renders a fate-count summary across all cells, then per-cell pass
-    /// statistics and the per-site provenance trace.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("-- site fates per (workload, tool) --\n");
-        let rows: Vec<(String, String, Vec<u64>)> = self
-            .cells
-            .iter()
-            .map(|c| {
-                (
-                    c.workload.to_string(),
-                    c.tool.name().to_string(),
-                    fate_counts_of(c),
-                )
-            })
-            .collect();
-        out.push_str(&fate_table(&rows));
-        for cell in &self.cells {
-            out.push_str(&cell_block(cell));
-        }
-        out
-    }
-
-    /// Machine-readable form of the study (`repro plan --format json`).
-    ///
-    /// Deterministic: per-pass wall time is deliberately excluded, so the
-    /// document is byte-identical run to run and thread-count invariant.
-    pub fn to_json(&self) -> String {
-        let cells: Vec<Json> = self.cells.iter().map(cell_json).collect();
-        Json::obj()
-            .field("study", "plan")
-            .field("cells", cells)
-            .render()
-    }
-}
-
 /// `repro plan` as a [`Study`]: one cell per (workload × tool), carrying the
 /// pre-rendered text block, JSON subtree, and CSV rows so a merged campaign
 /// reassembles every export byte-identically.
@@ -216,17 +160,10 @@ impl Study for PlanEntry {
     }
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
-        let workload = WORKLOADS[index / Tool::ALL.len()];
-        let tool = Tool::ALL[index % Tool::ALL.len()];
-        let program = workload_program(workload, opts.scale);
-        let cell = PlanCell {
-            workload,
-            tool,
-            analysis: analyze(&program, &tool.profile()),
-        };
+        let cell = plan_cell(opts, index);
         Json::obj()
-            .field("workload", workload)
-            .field("tool", tool.name())
+            .field("workload", cell.workload)
+            .field("tool", cell.tool.name())
             .field("fates", study::u64s(&fate_counts_of(&cell)))
             .field("block", cell_block(&cell))
             .field("json", cell_json(&cell))
@@ -234,6 +171,10 @@ impl Study for PlanEntry {
             .field("passes", crate::csv::plan_passes_rows(&cell))
     }
 
+    /// Renders a fate-count summary across all cells, then per-cell pass
+    /// statistics and the per-site provenance trace. The JSON document
+    /// (`repro plan --format json`) excludes per-pass wall time, so it is
+    /// byte-identical run to run and thread-count invariant.
     fn render(&self, _opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
         let mut report =
             String::from("== Planner observability: per-pass statistics + site provenance ==\n\n");
@@ -282,14 +223,38 @@ impl Study for PlanEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchRunner;
+    use crate::campaign::Campaign;
     use giantsan_analysis::{PassId, SiteFate};
+
+    fn cells() -> Vec<PlanCell> {
+        let opts = StudyOpts::default();
+        (0..PlanEntry.cells(&opts).unwrap().len())
+            .map(|i| plan_cell(&opts, i))
+            .collect()
+    }
+
+    fn cell<'a>(cells: &'a [PlanCell], workload: &str, tool: Tool) -> &'a PlanCell {
+        cells
+            .iter()
+            .find(|c| c.workload == workload && c.tool == tool)
+            .unwrap()
+    }
+
+    fn output() -> StudyOutput {
+        let opts = StudyOpts::default();
+        let records = Campaign::new(&PlanEntry, opts.clone())
+            .unwrap()
+            .run_all(&BatchRunner::default());
+        PlanEntry.render(&opts, &records).unwrap()
+    }
 
     #[test]
     fn study_covers_the_full_matrix() {
-        let s = plan_study(1);
-        assert_eq!(s.cells.len(), WORKLOADS.len() * Tool::ALL.len());
+        let cells = cells();
+        assert_eq!(cells.len(), WORKLOADS.len() * Tool::ALL.len());
         // Every decided site carries provenance.
-        for cell in &s.cells {
+        for cell in &cells {
             for (i, fate) in cell.analysis.fates.iter().enumerate() {
                 if cell.analysis.provenance[i].is_none() {
                     assert_eq!(
@@ -306,12 +271,8 @@ mod tests {
 
     #[test]
     fn giantsan_pipeline_is_fully_enabled_and_attributed() {
-        let s = plan_study(1);
-        let cell = s
-            .cells
-            .iter()
-            .find(|c| c.workload == "figure8" && c.tool == Tool::GiantSan)
-            .unwrap();
+        let cells = cells();
+        let cell = cell(&cells, "figure8", Tool::GiantSan);
         assert!(cell.analysis.pass_stats.iter().all(|p| p.enabled));
         let p0 = cell.analysis.provenance[0].as_ref().unwrap();
         assert_eq!(p0.pass, PassId::Promote);
@@ -319,12 +280,8 @@ mod tests {
 
     #[test]
     fn asan_disables_every_optional_pass() {
-        let s = plan_study(1);
-        let cell = s
-            .cells
-            .iter()
-            .find(|c| c.workload == "519.lbm_r" && c.tool == Tool::Asan)
-            .unwrap();
+        let cells = cells();
+        let cell = cell(&cells, "519.lbm_r", Tool::Asan);
         for p in &cell.analysis.pass_stats {
             if !p.pass.is_structural() {
                 assert!(!p.enabled, "{:?} enabled for ASan", p.pass);
@@ -335,27 +292,47 @@ mod tests {
 
     #[test]
     fn json_export_is_deterministic_and_complete() {
-        let s = plan_study(1);
-        let j = s.to_json();
+        let cells = cells();
+        let j = output().json.unwrap();
         assert!(j.starts_with("{\n  \"study\": \"plan\""));
-        assert_eq!(j.matches("\"workload\"").count(), s.cells.len());
+        assert_eq!(j.matches("\"workload\"").count(), cells.len());
         // One site object per fate, one pass object per pipeline stage.
-        let total_sites: usize = s.cells.iter().map(|c| c.analysis.fates.len()).sum();
+        let total_sites: usize = cells.iter().map(|c| c.analysis.fates.len()).sum();
         assert_eq!(j.matches("\"fate\"").count(), total_sites);
-        assert_eq!(j.matches("\"enabled\"").count(), s.cells.len() * 9);
+        assert_eq!(j.matches("\"enabled\"").count(), cells.len() * 9);
         // Wall time is excluded, so the document is run-to-run identical.
         assert!(!j.contains("wall"));
-        assert_eq!(j, plan_study(1).to_json());
+        assert_eq!(j, output().json.unwrap());
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 
     #[test]
-    fn render_shows_tables_and_traces() {
-        let s = plan_study(1);
-        let r = s.render();
+    fn render_shows_tables_traces_and_csvs() {
+        let cells = cells();
+        let out = output();
+        let r = &out.report;
         assert!(r.contains("site fates per (workload, tool)"));
         assert!(r.contains("== figure8 under GiantSan =="));
         assert!(r.contains("const-prop"));
         assert!(r.contains("[promote"), "{r}");
+
+        let csv = |name: &str| {
+            out.artifacts
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, c)| c.clone())
+                .unwrap()
+        };
+        let prov = csv("plan_provenance.csv");
+        let total_sites: usize = cells.iter().map(|c| c.analysis.fates.len()).sum();
+        assert_eq!(prov.lines().count(), total_sites + 1);
+        assert!(prov.starts_with("workload,tool,site,fate,pass,reason"));
+        assert!(
+            prov.contains("figure8,GiantSan,0,Promoted,promote"),
+            "{prov}"
+        );
+        let passes = csv("plan_passes.csv");
+        assert_eq!(passes.lines().count(), cells.len() * 9 + 1);
+        assert!(passes.contains("figure8,GiantSan,cache,1,"), "{passes}");
     }
 }

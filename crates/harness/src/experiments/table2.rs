@@ -3,12 +3,12 @@
 use giantsan_runtime::RuntimeConfig;
 use giantsan_workloads::spec_suite;
 
-use crate::batch::BatchRunner;
 use crate::cost::{geomean, CostModel};
 use crate::json::Json;
+use crate::session::RunOutcome;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::{pct, TextTable};
-use crate::tool::{run_tool, RunOutcome, Tool};
+use crate::tool::Tool;
 
 /// Tool columns in the paper's order (plus the two ablations).
 pub const COLUMNS: [Tool; 6] = [
@@ -46,79 +46,41 @@ pub struct Table2 {
     pub wall_geomeans: Vec<f64>,
 }
 
-/// Runs the performance study at `scale` (1 = quick, larger = steadier
-/// wall-clock numbers) on the default runner.
-pub fn table2(scale: u64) -> Table2 {
-    table2_with(&BatchRunner::default(), scale)
-}
-
-/// [`table2`] on an explicit runner.
-///
-/// The cell matrix is (workload × tool incl. native), fine-grained enough
-/// that one slow benchmark never serialises a whole row. The fold below
-/// consumes outcomes in cell order, so rows and geomeans are identical for
-/// every thread count (the wall-clock *columns* still vary run to run; the
-/// modelled columns and the CSV do not).
-pub fn table2_with(runner: &BatchRunner, scale: u64) -> Table2 {
-    let model = CostModel::default();
-    let cfg = RuntimeConfig::default();
-    let suite = spec_suite(scale);
-    let mut cells: Vec<(usize, Tool)> = Vec::new();
-    for wi in 0..suite.len() {
-        cells.push((wi, Tool::Native));
-        for tool in COLUMNS {
-            cells.push((wi, tool));
-        }
-    }
-    let outcomes = runner.map(&cells, |_, &(wi, tool)| {
-        let w = &suite[wi];
-        run_tool(tool, &w.program, &w.inputs, &cfg)
-    });
-
-    let mut rows = Vec::new();
-    let stride = 1 + COLUMNS.len();
-    for (wi, w) in suite.iter().enumerate() {
-        let native = &outcomes[wi * stride];
-        let mut ratios = Vec::new();
-        let mut wall_ratios = Vec::new();
-        for (ti, tool) in COLUMNS.iter().enumerate() {
-            let out = &outcomes[wi * stride + 1 + ti];
-            debug_assert!(
-                out.result.reports.is_empty(),
-                "{}: {} raised reports",
-                w.id,
-                tool.name()
-            );
-            ratios.push(model.ratio_percent(*tool, native, out));
-            wall_ratios.push(wall_ratio(native, out));
-        }
-        rows.push(Table2Row {
-            id: w.id.clone(),
-            native_units: model.native_units(native),
-            native_wall_us: native.wall.as_secs_f64() * 1e6,
-            ratios,
-            wall_ratios,
-        });
-    }
-    let geomeans = (0..COLUMNS.len())
-        .map(|i| geomean(&rows.iter().map(|r| r.ratios[i]).collect::<Vec<_>>()))
-        .collect();
-    let wall_geomeans = (0..COLUMNS.len())
-        .map(|i| geomean(&rows.iter().map(|r| r.wall_ratios[i]).collect::<Vec<_>>()))
-        .collect();
-    Table2 {
-        rows,
-        geomeans,
-        wall_geomeans,
-    }
-}
-
 fn wall_ratio(native: &RunOutcome, run: &RunOutcome) -> f64 {
     let n = native.wall.as_secs_f64().max(1e-9);
     100.0 * run.wall.as_secs_f64() / n
 }
 
 impl Table2 {
+    /// Rebuilds the table from [`Table2Entry`]'s records (one per workload,
+    /// in suite order); the geomeans fold the rows in that order, so the
+    /// table is identical for every thread count and shard split (the
+    /// wall-clock *columns* still vary run to run; the modelled columns and
+    /// the CSV do not).
+    pub fn from_records(_opts: &StudyOpts, records: &[Record]) -> Table2 {
+        let rows: Vec<Table2Row> = records
+            .iter()
+            .map(|r| Table2Row {
+                id: study::req_str(&r.payload, "id").to_string(),
+                native_units: study::req_f64(&r.payload, "native_units"),
+                native_wall_us: study::req_f64(&r.payload, "native_wall_us"),
+                ratios: study::req_f64s(&r.payload, "ratios"),
+                wall_ratios: study::req_f64s(&r.payload, "wall_ratios"),
+            })
+            .collect();
+        let geomeans = (0..COLUMNS.len())
+            .map(|i| geomean(&rows.iter().map(|r| r.ratios[i]).collect::<Vec<_>>()))
+            .collect();
+        let wall_geomeans = (0..COLUMNS.len())
+            .map(|i| geomean(&rows.iter().map(|r| r.wall_ratios[i]).collect::<Vec<_>>()))
+            .collect();
+        Table2 {
+            rows,
+            geomeans,
+            wall_geomeans,
+        }
+    }
+
     /// Renders the table in the paper's layout (modelled ratios).
     pub fn render(&self) -> String {
         let mut headers = vec!["Programs".to_string(), "Native(u)".to_string()];
@@ -155,7 +117,8 @@ impl Table2 {
 }
 
 /// `repro table2` as a [`Study`]: one cell per SPEC-like workload, each
-/// running the native baseline plus every column tool.
+/// running the native baseline plus every column tool at `--scale` (1 =
+/// quick, larger = steadier wall-clock numbers).
 #[derive(Debug, Clone, Copy)]
 pub struct Table2Entry;
 
@@ -173,14 +136,19 @@ impl Study for Table2Entry {
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
         let model = CostModel::default();
-        let cfg = RuntimeConfig::default();
         let suite = spec_suite(opts.scale);
         let w = &suite[index];
-        let native = run_tool(Tool::Native, &w.program, &w.inputs, &cfg);
+        let run = |tool: Tool| {
+            tool.builder()
+                .config(RuntimeConfig::default())
+                .spec()
+                .run(&w.program, &w.inputs)
+        };
+        let native = run(Tool::Native);
         let mut ratios = Vec::new();
         let mut wall_ratios = Vec::new();
         for tool in COLUMNS {
-            let out = run_tool(tool, &w.program, &w.inputs, &cfg);
+            let out = run(tool);
             debug_assert!(
                 out.result.reports.is_empty(),
                 "{}: {} raised reports",
@@ -199,27 +167,7 @@ impl Study for Table2Entry {
     }
 
     fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let rows: Vec<Table2Row> = records
-            .iter()
-            .map(|r| Table2Row {
-                id: study::req_str(&r.payload, "id").to_string(),
-                native_units: study::req_f64(&r.payload, "native_units"),
-                native_wall_us: study::req_f64(&r.payload, "native_wall_us"),
-                ratios: study::req_f64s(&r.payload, "ratios"),
-                wall_ratios: study::req_f64s(&r.payload, "wall_ratios"),
-            })
-            .collect();
-        let geomeans = (0..COLUMNS.len())
-            .map(|i| geomean(&rows.iter().map(|r| r.ratios[i]).collect::<Vec<_>>()))
-            .collect();
-        let wall_geomeans = (0..COLUMNS.len())
-            .map(|i| geomean(&rows.iter().map(|r| r.wall_ratios[i]).collect::<Vec<_>>()))
-            .collect();
-        let t = Table2 {
-            rows,
-            geomeans,
-            wall_geomeans,
-        };
+        let t = Table2::from_records(opts, records);
         let mut report = format!(
             "== Table 2: runtime overhead on the SPEC-like suite ==\n\
              (paper geomeans: GiantSan 146.04%, ASan 212.58%, ASan-- 174.89%, LFP 161.76%,\n \
@@ -243,10 +191,16 @@ impl Study for Table2Entry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchRunner;
+    use crate::campaign::Campaign;
 
     #[test]
     fn shape_matches_the_paper() {
-        let t = table2(1);
+        let opts = StudyOpts::default();
+        let records = Campaign::new(&Table2Entry, opts.clone())
+            .unwrap()
+            .run_all(&BatchRunner::default());
+        let t = Table2::from_records(&opts, &records);
         assert_eq!(t.rows.len(), 24);
         let gm: std::collections::HashMap<&str, f64> = COLUMNS
             .iter()
@@ -264,23 +218,7 @@ mod tests {
         assert!(gm["EliminationOnly"] > gm["GiantSan"]);
         assert!(gm["CacheOnly"] < gm["ASan"]);
         assert!(gm["EliminationOnly"] < gm["ASan"]);
-    }
 
-    #[test]
-    fn modelled_columns_are_thread_count_invariant() {
-        let serial = table2_with(&BatchRunner::serial(), 1);
-        let parallel = table2_with(&BatchRunner::new(4), 1);
-        assert_eq!(
-            crate::csv::table2_csv(&serial),
-            crate::csv::table2_csv(&parallel),
-            "modelled CSV must not depend on the thread count"
-        );
-        assert_eq!(serial.geomeans, parallel.geomeans);
-    }
-
-    #[test]
-    fn render_contains_every_row() {
-        let t = table2(1);
         let s = t.render();
         assert!(s.contains("500.perlbench_r"));
         assert!(s.contains("657.xz_s"));

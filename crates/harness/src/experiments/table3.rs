@@ -1,16 +1,15 @@
 //! Table 3: detection capability on the Juliet-like suite.
 
-use std::collections::HashMap;
-
-use giantsan_ir::CheckPlan;
+use giantsan_ir::{CheckPlan, Program};
 use giantsan_runtime::RuntimeConfig;
-use giantsan_workloads::juliet::{juliet_suite_scaled, paper_totals, JulietSuite};
+use giantsan_workloads::juliet::{juliet_suite_scaled, paper_totals, JulietCase};
 
 use crate::batch::BatchRunner;
 use crate::json::Json;
+use crate::session::SessionSpec;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::TextTable;
-use crate::tool::{run_planned, Tool};
+use crate::tool::Tool;
 
 /// Detection tools of Table 3, in column order.
 pub const COLUMNS: [Tool; 4] = [Tool::GiantSan, Tool::Asan, Tool::AsanMinusMinus, Tool::Lfp];
@@ -34,76 +33,9 @@ pub struct Table3Row {
 pub struct Table3 {
     /// Per-CWE rows, ascending.
     pub rows: Vec<Table3Row>,
-    /// Scaling divisor used (1 = the paper's full counts).
+    /// Scaling divisor used (`--div`; 1 = the paper's full counts, larger
+    /// values subsample each family).
     pub divisor: u32,
-}
-
-/// Runs the detection study. `divisor = 1` reproduces the full Table 3
-/// counts; larger values subsample each family.
-pub fn table3(divisor: u32) -> Table3 {
-    table3_with(&BatchRunner::default(), divisor)
-}
-
-/// [`table3`] on an explicit runner (one cell per Juliet case; each cell
-/// runs the buggy and safe twins under every column tool).
-pub fn table3_with(runner: &BatchRunner, divisor: u32) -> Table3 {
-    let suite = juliet_suite_scaled(divisor);
-    let cfg = RuntimeConfig::small();
-    // One plan per (template, tool): templates are shared across thousands
-    // of cases, and the map is shared read-only across workers.
-    let plans: Vec<HashMap<usize, CheckPlan>> = COLUMNS
-        .iter()
-        .map(|tool| {
-            suite
-                .templates
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i, tool.plan(p)))
-                .collect()
-        })
-        .collect();
-
-    // Per-case verdicts: (detected, false positive) per column tool.
-    let verdicts = runner.map(&suite.cases, |_, case| {
-        COLUMNS
-            .iter()
-            .enumerate()
-            .map(|(t, tool)| {
-                let plan = &plans[t][&case.template];
-                let program = &suite.templates[case.template];
-                let buggy = run_planned(*tool, program, plan, &case.buggy_inputs, &cfg);
-                let safe = run_planned(*tool, program, plan, &case.safe_inputs, &cfg);
-                (buggy.detected(), safe.detected())
-            })
-            .collect::<Vec<_>>()
-    });
-
-    let mut rows: Vec<Table3Row> = paper_totals()
-        .iter()
-        .map(|&(cwe, _)| Table3Row {
-            cwe,
-            detected: vec![0; COLUMNS.len()],
-            false_positives: vec![0; COLUMNS.len()],
-            total: 0,
-        })
-        .collect();
-
-    for (case, verdict) in suite.cases.iter().zip(&verdicts) {
-        let row = rows
-            .iter_mut()
-            .find(|r| r.cwe == case.cwe)
-            .expect("unknown CWE family");
-        row.total += 1;
-        for (t, &(buggy, safe_fp)) in verdict.iter().enumerate() {
-            if buggy {
-                row.detected[t] += 1;
-            }
-            if safe_fp {
-                row.false_positives[t] += 1;
-            }
-        }
-    }
-    Table3 { rows, divisor }
 }
 
 /// Human-readable CWE titles (the paper's row labels).
@@ -122,6 +54,41 @@ pub fn cwe_title(cwe: u32) -> &'static str {
 }
 
 impl Table3 {
+    /// Folds [`Table3Entry`]'s per-case records into per-CWE rows.
+    pub fn from_records(opts: &StudyOpts, records: &[Record]) -> Result<Table3, String> {
+        let mut rows: Vec<Table3Row> = paper_totals()
+            .iter()
+            .map(|&(cwe, _)| Table3Row {
+                cwe,
+                detected: vec![0; COLUMNS.len()],
+                false_positives: vec![0; COLUMNS.len()],
+                total: 0,
+            })
+            .collect();
+        for r in records {
+            let cwe = study::req_u64(&r.payload, "cwe") as u32;
+            let buggy = study::req_bools(&r.payload, "buggy");
+            let safe = study::req_bools(&r.payload, "safe");
+            let row = rows
+                .iter_mut()
+                .find(|row| row.cwe == cwe)
+                .ok_or_else(|| format!("unknown CWE family {cwe}"))?;
+            row.total += 1;
+            for (t, (&b, &s)) in buggy.iter().zip(&safe).enumerate() {
+                if b {
+                    row.detected[t] += 1;
+                }
+                if s {
+                    row.false_positives[t] += 1;
+                }
+            }
+        }
+        Ok(Table3 {
+            rows,
+            divisor: opts.div,
+        })
+    }
+
     /// Renders the table in the paper's layout.
     pub fn render(&self) -> String {
         let mut headers = vec!["CWE ID & Type".to_string()];
@@ -164,18 +131,37 @@ impl Table3 {
     }
 }
 
-/// Access to the underlying suite for integration tests.
-pub fn suite(divisor: u32) -> JulietSuite {
-    juliet_suite_scaled(divisor)
+/// The column tools' session specs.
+fn column_specs() -> Vec<SessionSpec> {
+    COLUMNS
+        .iter()
+        .map(|tool| tool.builder().config(RuntimeConfig::small()).spec())
+        .collect()
 }
 
-/// The payload of one Juliet case: its CWE plus per-tool verdicts on the
-/// buggy and safe twins.
-fn case_payload(cwe: u32, verdicts: &[(bool, bool)]) -> Json {
-    let buggy: Vec<bool> = verdicts.iter().map(|v| v.0).collect();
-    let safe: Vec<bool> = verdicts.iter().map(|v| v.1).collect();
+/// Runs one Juliet case's buggy and safe twins under every column tool,
+/// with `plans` the per-tool plans of the case's template. The payload is
+/// its CWE plus per-tool verdicts on each twin.
+fn run_case(
+    specs: &[SessionSpec],
+    program: &Program,
+    plans: &[CheckPlan],
+    case: &JulietCase,
+) -> Json {
+    let (buggy, safe): (Vec<bool>, Vec<bool>) = specs
+        .iter()
+        .zip(plans)
+        .map(|(spec, plan)| {
+            (
+                spec.run_planned(program, plan, &case.buggy_inputs)
+                    .detected(),
+                spec.run_planned(program, plan, &case.safe_inputs)
+                    .detected(),
+            )
+        })
+        .unzip();
     Json::obj()
-        .field("cwe", cwe)
+        .field("cwe", case.cwe)
         .field("buggy", study::bools(&buggy))
         .field("safe", study::bools(&safe))
 }
@@ -200,19 +186,11 @@ impl Study for Table3Entry {
 
     fn run_cell(&self, opts: &StudyOpts, index: usize) -> Json {
         let suite = juliet_suite_scaled(opts.div);
-        let cfg = RuntimeConfig::small();
         let case = &suite.cases[index];
         let program = &suite.templates[case.template];
-        let verdicts: Vec<(bool, bool)> = COLUMNS
-            .iter()
-            .map(|tool| {
-                let plan = tool.plan(program);
-                let buggy = run_planned(*tool, program, &plan, &case.buggy_inputs, &cfg);
-                let safe = run_planned(*tool, program, &plan, &case.safe_inputs, &cfg);
-                (buggy.detected(), safe.detected())
-            })
-            .collect();
-        case_payload(case.cwe, &verdicts)
+        let specs = column_specs();
+        let plans: Vec<CheckPlan> = specs.iter().map(|s| s.plan(program)).collect();
+        run_case(&specs, program, &plans, case)
     }
 
     /// Hoists the suite and the per-(template, tool) plan cache once per
@@ -225,68 +203,26 @@ impl Study for Table3Entry {
         runner: &BatchRunner,
     ) -> Vec<Json> {
         let suite = juliet_suite_scaled(opts.div);
-        let cfg = RuntimeConfig::small();
-        let plans: Vec<HashMap<usize, CheckPlan>> = COLUMNS
+        let specs = column_specs();
+        let plans: Vec<Vec<CheckPlan>> = suite
+            .templates
             .iter()
-            .map(|tool| {
-                suite
-                    .templates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (i, tool.plan(p)))
-                    .collect()
-            })
+            .map(|p| specs.iter().map(|s| s.plan(p)).collect())
             .collect();
         let indices: Vec<usize> = range.collect();
         runner.map(&indices, |_, &i| {
             let case = &suite.cases[i];
-            let program = &suite.templates[case.template];
-            let verdicts: Vec<(bool, bool)> = COLUMNS
-                .iter()
-                .enumerate()
-                .map(|(t, tool)| {
-                    let plan = &plans[t][&case.template];
-                    let buggy = run_planned(*tool, program, plan, &case.buggy_inputs, &cfg);
-                    let safe = run_planned(*tool, program, plan, &case.safe_inputs, &cfg);
-                    (buggy.detected(), safe.detected())
-                })
-                .collect();
-            case_payload(case.cwe, &verdicts)
+            run_case(
+                &specs,
+                &suite.templates[case.template],
+                &plans[case.template],
+                case,
+            )
         })
     }
 
     fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let mut rows: Vec<Table3Row> = paper_totals()
-            .iter()
-            .map(|&(cwe, _)| Table3Row {
-                cwe,
-                detected: vec![0; COLUMNS.len()],
-                false_positives: vec![0; COLUMNS.len()],
-                total: 0,
-            })
-            .collect();
-        for r in records {
-            let cwe = study::req_u64(&r.payload, "cwe") as u32;
-            let buggy = study::req_bools(&r.payload, "buggy");
-            let safe = study::req_bools(&r.payload, "safe");
-            let row = rows
-                .iter_mut()
-                .find(|row| row.cwe == cwe)
-                .ok_or_else(|| format!("unknown CWE family {cwe}"))?;
-            row.total += 1;
-            for (t, (&b, &s)) in buggy.iter().zip(&safe).enumerate() {
-                if b {
-                    row.detected[t] += 1;
-                }
-                if s {
-                    row.false_positives[t] += 1;
-                }
-            }
-        }
-        let t = Table3 {
-            rows,
-            divisor: opts.div,
-        };
+        let t = Table3::from_records(opts, records)?;
         Ok(StudyOutput {
             report: format!("== Table 3: Juliet-like detection ==\n\n{}\n", t.render()),
             artifacts: vec![("table3.csv".to_string(), crate::csv::table3_csv(&t))],
@@ -298,10 +234,22 @@ impl Study for Table3Entry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
+
+    fn table3_at(div: u32) -> Table3 {
+        let opts = StudyOpts {
+            div,
+            ..StudyOpts::default()
+        };
+        let records = Campaign::new(&Table3Entry, opts.clone())
+            .unwrap()
+            .run_all(&BatchRunner::default());
+        Table3::from_records(&opts, &records).unwrap()
+    }
 
     #[test]
     fn subsampled_table_has_paper_shape() {
-        let t = table3(30);
+        let t = table3_at(30);
         // Column indexes.
         let (gs, asan, asanmm, lfp) = (0, 1, 2, 3);
         for r in &t.rows {
@@ -324,7 +272,7 @@ mod tests {
 
     #[test]
     fn render_includes_titles() {
-        let t = table3(120);
+        let t = table3_at(120);
         let s = t.render();
         assert!(s.contains("Use After Free"));
         assert!(s.contains("False positives"));

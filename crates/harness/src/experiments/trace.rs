@@ -5,8 +5,8 @@
 //! [`analyze_recorded`] (per-pass events), every cell runs under a
 //! [`TraceRecorder`] (check / quasi-bound / allocator / containment events
 //! plus the sampling histograms), and the batch engine records its
-//! scheduling spans into a [`TraceSink`]. The study then exports all three
-//! formats the telemetry crate supports:
+//! scheduling spans into a [`crate::TraceSink`]. The study then exports all
+//! three formats the telemetry crate supports:
 //!
 //! * **JSON Lines** — the deterministic data-plane event stream, sorted by
 //!   `(cell, seq)`; its FNV-1a digest is invariant under thread count.
@@ -15,25 +15,24 @@
 //! * **Prometheus text exposition** — final counters, log2 histograms, and
 //!   the per-site check-path mix.
 //!
+//! [`TraceEntry`] runs the cells; [`TraceStudy::from_records`] reassembles
+//! them into the merged stream, histograms, counters and span chain.
 //! [`TraceStudy::hotspots`] ranks sites by slow-path share, which on the
 //! paper's Figure 8 example singles out the data-dependent `y[j]` store
 //! (history-cache refreshes) and the hoisted pre-header / loop-final region
 //! checks — exactly the sites the paper's optimisation story is about.
 
-use std::sync::Arc;
-
-use giantsan_analysis::{analyze, analyze_recorded};
-use giantsan_ir::{CheckPlan, Program};
+use giantsan_analysis::analyze_recorded;
+use giantsan_ir::Program;
 use giantsan_runtime::Counters;
-use giantsan_telemetry::export::{
-    events_jsonl, jsonl_digest, prometheus, text_digest, ChromeTrace,
-};
+use giantsan_telemetry::export::{events_jsonl, prometheus, text_digest, ChromeTrace};
 use giantsan_telemetry::{
-    site_label, Event, Histograms, Log2Hist, PathMix, SpanKind, SpanSet, TraceRecorder,
+    site_label, Histograms, Log2Hist, PathMix, SpanKind, SpanSet, TraceRecorder,
 };
 use giantsan_workloads::{figure8_program, spec_workload};
 
-use crate::batch::{BatchRunner, BatchTrace, TraceSink};
+use crate::batch::BatchTrace;
+use crate::campaign::Campaign;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
 use crate::table::{pct, TextTable};
@@ -71,12 +70,15 @@ pub struct TraceStudy {
     ///
     /// Presentation metadata only: the data-plane events and their digest
     /// are kernel-invariant by the backend contract, so this appears in the
-    /// Prometheus exposition and schedule dumps but never in the JSONL.
+    /// Prometheus exposition and the report header but never in the JSONL.
     pub kernel: &'static str,
     /// Worker-pool size the cells were scheduled across.
     pub threads: usize,
-    /// Merged data-plane event stream, sorted by `(cell, seq)`.
-    pub events: Vec<Event>,
+    /// Merged data-plane event stream as JSON Lines, sorted by
+    /// `(cell, seq)`.
+    pub events_jsonl: String,
+    /// Number of events in the stream.
+    pub events: usize,
     /// Merged sampling histograms (all cells).
     pub hists: Histograms,
     /// Events past the per-cell recorder caps (sampled, not buffered).
@@ -85,8 +87,9 @@ pub struct TraceStudy {
     pub counters: Counters,
     /// Per-cell run summaries, in cell order.
     pub runs: Vec<TraceRun>,
-    /// Presentation-plane scheduling spans (never digested).
-    pub schedule: BatchTrace,
+    /// The deterministic request → … → cell span chain, with Pass and
+    /// slow-path Check leaves (see [`trace_spans`]).
+    pub spans: SpanSet,
 }
 
 /// Builds the program under study. `figure8` is the paper's worked example;
@@ -110,111 +113,69 @@ fn cell_inputs(id: &str, scale: u64, cell: u32, base: &[i64]) -> Vec<i64> {
     }
 }
 
-/// Runs the study on a default (auto-sized) runner.
-pub fn trace_study(workload: &str, tool: Tool, scale: u64) -> Result<TraceStudy, String> {
-    trace_study_with(&BatchRunner::default(), workload, tool, scale)
-}
-
-/// [`trace_study`] on an explicit runner.
-///
-/// The data plane (events, histograms, digest) is invariant under the
-/// runner's thread count; only [`TraceStudy::schedule`] — the presentation
-/// plane — differs between serial and parallel runs.
-pub fn trace_study_with(
-    runner: &BatchRunner,
-    workload: &str,
-    tool: Tool,
-    scale: u64,
-) -> Result<TraceStudy, String> {
-    let (program, base_inputs) = workload_program(workload, scale).ok_or_else(|| {
-        format!("unknown workload `{workload}` (figure8 or a SPEC row id like 519.lbm_r)")
-    })?;
-    let spec = tool.builder().spec();
-
-    // Cell 0 of the data plane: the planner's per-pass events.
-    let mut plan_rec = TraceRecorder::for_cell(0);
-    let plan = match tool {
-        Tool::Native => CheckPlan::none(&program),
-        _ => analyze_recorded(&program, &spec.profile(), &mut plan_rec).plan,
-    };
-
-    // Presentation plane: a fresh sink snapshots this study's scheduling.
-    let sink = TraceSink::new();
-    let runner = runner.clone().with_sink(Arc::clone(&sink));
-
-    let cells: Vec<u32> = (1..=DEFAULT_CELLS).collect();
-    let results = runner.map(&cells, |_, &cell| {
-        let inputs = cell_inputs(workload, scale, cell, &base_inputs);
-        let mut rec = TraceRecorder::for_cell(cell);
-        let out = spec.run_planned_recorded(&program, &plan, &inputs, &mut rec);
-        (out, rec)
-    });
-
-    let (mut events, mut hists, mut dropped) = plan_rec.finish();
-    let mut counters = Counters::default();
-    let mut runs = Vec::new();
-    for (out, rec) in results {
-        let cell = rec.cell();
-        let (ev, h, d) = rec.finish();
-        runs.push(TraceRun {
-            cell,
-            result_digest: out.result.digest(),
-            steps: out.result.steps,
-            reports: out.result.reports.len(),
-            events: ev.len(),
-            counters: out.counters,
-        });
-        events.extend(ev);
-        hists.merge(&h);
-        dropped += d;
-        counters += &out.counters;
-    }
-    events.sort_by_key(|e| (e.cell, e.seq));
-
-    Ok(TraceStudy {
-        workload: workload.to_string(),
-        tool,
-        kernel: giantsan_shadow::kernel::active().name(),
-        threads: runner.threads(),
-        events,
-        hists,
-        dropped,
-        counters,
-        runs,
-        schedule: sink.take(),
-    })
-}
-
 impl TraceStudy {
-    /// The deterministic JSONL event stream.
-    pub fn events_jsonl(&self) -> String {
-        events_jsonl(&self.events)
+    /// Reassembles [`TraceEntry`]'s records (the planning cell, then the
+    /// executed cells, in index order). Each record's JSONL slice is already
+    /// `(cell, seq)`-sorted, so concatenating them in order yields the
+    /// merged stream, whatever the thread count or shard split. The span
+    /// seed is the campaign spec hash — the fingerprint sharding and
+    /// resuming verify, which already excludes `--threads`.
+    pub fn from_records(opts: &StudyOpts, records: &[Record]) -> Result<TraceStudy, String> {
+        let mut events_jsonl = String::new();
+        let mut hists = Histograms::default();
+        let mut dropped = 0u64;
+        let mut events = 0usize;
+        let mut counters = Counters::default();
+        let mut runs = Vec::new();
+        for r in records {
+            events_jsonl.push_str(study::req_str(&r.payload, "jsonl"));
+            hists.merge(&hists_from(study::req(&r.payload, "hists")));
+            dropped += study::req_u64(&r.payload, "dropped");
+            events += study::req_u64(&r.payload, "events") as usize;
+            if study::req_str(&r.payload, "kind") == "run" {
+                let run_counters = Counters::from_field_values(
+                    study::req_u64s(&r.payload, "counters")
+                        .try_into()
+                        .expect("counters payload carries every field"),
+                );
+                counters += &run_counters;
+                runs.push(TraceRun {
+                    cell: study::req_u64(&r.payload, "cell") as u32,
+                    result_digest: study::req_hex(&r.payload, "result_digest"),
+                    steps: study::req_u64(&r.payload, "steps"),
+                    reports: study::req_u64(&r.payload, "reports") as usize,
+                    events: study::req_u64(&r.payload, "events") as usize,
+                    counters: run_counters,
+                });
+            }
+        }
+        let seed = Campaign::new(&TraceEntry, opts.clone())
+            .map_err(|e| e.to_string())?
+            .spec_hash();
+        Ok(TraceStudy {
+            workload: opts.workload.clone(),
+            tool: opts.tool,
+            kernel: giantsan_shadow::kernel::active().name(),
+            threads: opts.threads,
+            events_jsonl,
+            events,
+            hists,
+            dropped,
+            counters,
+            runs,
+            spans: trace_spans(seed, &opts.workload, opts.tool, records),
+        })
     }
 
     /// FNV-1a digest of the JSONL bytes — the thread-invariant fingerprint
     /// CI diffs serial vs parallel.
     pub fn digest(&self) -> u64 {
-        jsonl_digest(&self.events)
+        text_digest(&self.events_jsonl)
     }
 
     /// The one-line digest artefact (`trace_digest.txt`).
     pub fn digest_artifact(&self) -> String {
         format!("{:#018x}\n", self.digest())
-    }
-
-    /// The Chrome `trace_event` JSON: the batch engine's scheduling spans
-    /// plus a final counter sample carrying the data-plane path totals.
-    pub fn chrome_trace(&self) -> String {
-        chrome_with(
-            &self.schedule,
-            &format!(
-                "repro trace: {} under {} [kernel={}]",
-                self.workload,
-                self.tool.name(),
-                self.kernel
-            ),
-            &self.hists,
-        )
     }
 
     /// The Prometheus text exposition: summed sanitizer counters, the four
@@ -227,137 +188,80 @@ impl TraceStudy {
     /// The top `n` sites by slow-path share (ties broken by visit volume,
     /// then site id). Sentinel sites render via [`site_label`].
     pub fn hotspots(&self, n: usize) -> Vec<(u32, PathMix)> {
-        hotspots_of(&self.hists, n)
-    }
-
-    /// The deterministic span chain for this invocation, seeded from the
-    /// campaign spec hash: the request → … → cell spine plus Pass/Check
-    /// leaf spans synthesized from the recorded event stream via
-    /// [`SpanSet::hotspots`]. Byte-identical to the `trace_spans.jsonl`
-    /// artifact the campaign path renders from shard payloads.
-    pub fn span_set(&self, seed: u64) -> SpanSet {
-        let (mut set, shard) =
-            span_spine(seed, &self.workload, self.tool, DEFAULT_CELLS as usize + 1);
-        for cell in 0..=DEFAULT_CELLS {
-            let label = if cell == 0 {
-                "plan".to_string()
-            } else {
-                format!("cell-{cell}")
-            };
-            let cell_span = set.child(shard, SpanKind::Cell, cell as u64, label);
-            let events: Vec<Event> = self
-                .events
-                .iter()
-                .filter(|e| e.cell == cell)
-                .cloned()
-                .collect();
-            set.hotspots(cell_span, &events);
-        }
-        set
+        let mut v: Vec<(u32, PathMix)> = self.hists.sites.iter().map(|(s, m)| (*s, *m)).collect();
+        v.sort_by(|a, b| {
+            b.1.slow_share()
+                .total_cmp(&a.1.slow_share())
+                .then(b.1.total().cmp(&a.1.total()))
+                .then(a.0.cmp(&b.0))
+        });
+        v.truncate(n);
+        v
     }
 
     /// Renders the study: run summaries plus the hot-spot table.
     pub fn render(&self) -> String {
-        render_report(
-            &self.workload,
-            self.tool,
+        let mut out = String::new();
+        out.push_str(&format!(
+            "{} under {} [kernel={}]: {} cells on {} worker(s), {} events ({} dropped), \
+             digest {:#018x}\n\n",
+            self.workload,
+            self.tool.name(),
             self.kernel,
+            self.runs.len(),
             self.threads,
-            &self.runs,
-            self.events.len(),
+            self.events,
             self.dropped,
-            self.digest(),
-            &self.hists,
-        )
-    }
-}
+            self.digest()
+        ));
 
-/// [`TraceStudy::hotspots`] over bare histograms (the campaign path).
-pub fn hotspots_of(hists: &Histograms, n: usize) -> Vec<(u32, PathMix)> {
-    let mut v: Vec<(u32, PathMix)> = hists.sites.iter().map(|(s, m)| (*s, *m)).collect();
-    v.sort_by(|a, b| {
-        b.1.slow_share()
-            .total_cmp(&a.1.slow_share())
-            .then(b.1.total().cmp(&a.1.total()))
-            .then(a.0.cmp(&b.0))
-    });
-    v.truncate(n);
-    v
-}
+        let mut t = TextTable::new(
+            ["cell", "steps", "events", "reports", "result digest"]
+                .map(String::from)
+                .to_vec(),
+        );
+        for r in &self.runs {
+            t.row(vec![
+                r.cell.to_string(),
+                r.steps.to_string(),
+                r.events.to_string(),
+                r.reports.to_string(),
+                format!("{:#018x}", r.result_digest),
+            ]);
+        }
+        out.push_str(&t.render());
 
-/// [`TraceStudy::render`] over bare parts — the campaign path, which
-/// reassembles the summary from shard payloads without a full `TraceStudy`.
-#[allow(clippy::too_many_arguments)]
-pub fn render_report(
-    workload: &str,
-    tool: Tool,
-    kernel: &str,
-    threads: usize,
-    runs: &[TraceRun],
-    events: usize,
-    dropped: u64,
-    digest: u64,
-    hists: &Histograms,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{} under {} [kernel={}]: {} cells on {} worker(s), {} events ({} dropped), \
-         digest {:#018x}\n\n",
-        workload,
-        tool.name(),
-        kernel,
-        runs.len(),
-        threads,
-        events,
-        dropped,
-        digest
-    ));
-
-    let mut t = TextTable::new(
-        ["cell", "steps", "events", "reports", "result digest"]
+        out.push_str("\n-- hot spots by slow-path share --\n");
+        let mut t = TextTable::new(
+            [
+                "site", "total", "fast", "hit", "update", "slow", "under", "arith", "skip", "slow%",
+            ]
             .map(String::from)
             .to_vec(),
-    );
-    for r in runs {
-        t.row(vec![
-            r.cell.to_string(),
-            r.steps.to_string(),
-            r.events.to_string(),
-            r.reports.to_string(),
-            format!("{:#018x}", r.result_digest),
-        ]);
+        );
+        for (site, mix) in self.hotspots(10) {
+            t.row(vec![
+                site_label(site),
+                mix.total().to_string(),
+                mix.fast.to_string(),
+                mix.cache_hits.to_string(),
+                mix.cache_updates.to_string(),
+                mix.slow.to_string(),
+                mix.underflow.to_string(),
+                mix.arith.to_string(),
+                mix.skipped.to_string(),
+                pct(mix.slow_share() * 100.0),
+            ]);
+        }
+        out.push_str(&t.render());
+        out
     }
-    out.push_str(&t.render());
-
-    out.push_str("\n-- hot spots by slow-path share --\n");
-    let mut t = TextTable::new(
-        [
-            "site", "total", "fast", "hit", "update", "slow", "under", "arith", "skip", "slow%",
-        ]
-        .map(String::from)
-        .to_vec(),
-    );
-    for (site, mix) in hotspots_of(hists, 10) {
-        t.row(vec![
-            site_label(site),
-            mix.total().to_string(),
-            mix.fast.to_string(),
-            mix.cache_hits.to_string(),
-            mix.cache_updates.to_string(),
-            mix.slow.to_string(),
-            mix.underflow.to_string(),
-            mix.arith.to_string(),
-            mix.skipped.to_string(),
-            pct(mix.slow_share() * 100.0),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
 }
 
-/// [`TraceStudy::chrome_trace`] over bare parts (the `--telemetry` writer and
-/// the campaign presentation path share this).
-pub fn chrome_with(schedule: &BatchTrace, process: &str, hists: &Histograms) -> String {
+/// The Chrome `trace_event` JSON: the batch engine's scheduling spans plus a
+/// final counter sample carrying the data-plane path totals (the trace
+/// study's presentation artifact).
+fn chrome_with(schedule: &BatchTrace, process: &str, hists: &Histograms) -> String {
     let mut t = ChromeTrace::new();
     schedule.render_chrome(&mut t, 1, process);
     let end = schedule
@@ -527,7 +431,7 @@ fn mix_from(values: &[u64]) -> PathMix {
 
 /// Encodes a full [`Histograms`] set (the four log2 histograms plus the
 /// per-site path mixes).
-pub fn hists_json(h: &Histograms) -> Json {
+fn hists_json(h: &Histograms) -> Json {
     let sites: Vec<Json> = h
         .sites
         .iter()
@@ -546,7 +450,7 @@ pub fn hists_json(h: &Histograms) -> Json {
 }
 
 /// Inverse of [`hists_json`].
-pub fn hists_from(j: &Json) -> Histograms {
+fn hists_from(j: &Json) -> Histograms {
     let mut h = Histograms {
         region_sizes: log2_from(study::req(j, "region_sizes")),
         fold_depths: log2_from(study::req(j, "fold_depths")),
@@ -569,18 +473,6 @@ pub fn hists_from(j: &Json) -> Histograms {
 /// (events are already `(cell, seq)`-sorted within a cell).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEntry;
-
-impl TraceEntry {
-    /// The deterministic plan every cell runs under (identical to the one
-    /// [`trace_study_with`] records: `analyze` and [`analyze_recorded`] run
-    /// the same pipeline).
-    fn plan_for(opts: &StudyOpts, program: &Program) -> CheckPlan {
-        match opts.tool {
-            Tool::Native => CheckPlan::none(program),
-            _ => analyze(program, &opts.tool.builder().spec().profile()).plan,
-        }
-    }
-}
 
 impl Study for TraceEntry {
     fn name(&self) -> &'static str {
@@ -619,7 +511,7 @@ impl Study for TraceEntry {
         }
         let cell = index as u32;
         let spec = opts.tool.builder().spec();
-        let plan = Self::plan_for(opts, &program);
+        let plan = spec.plan(&program);
         let inputs = cell_inputs(&opts.workload, opts.scale, cell, &base_inputs);
         let mut rec = TraceRecorder::for_cell(cell);
         let out = spec.run_planned_recorded(&program, &plan, &inputs, &mut rec);
@@ -638,78 +530,28 @@ impl Study for TraceEntry {
     }
 
     fn render(&self, opts: &StudyOpts, records: &[Record]) -> Result<StudyOutput, String> {
-        let kernel = giantsan_shadow::kernel::active().name();
-        let mut jsonl = String::new();
-        let mut hists = Histograms::default();
-        let mut dropped = 0u64;
-        let mut events = 0usize;
-        let mut counters = Counters::default();
-        let mut runs = Vec::new();
-        for r in records {
-            jsonl.push_str(study::req_str(&r.payload, "jsonl"));
-            hists.merge(&hists_from(study::req(&r.payload, "hists")));
-            dropped += study::req_u64(&r.payload, "dropped");
-            events += study::req_u64(&r.payload, "events") as usize;
-            if study::req_str(&r.payload, "kind") == "run" {
-                let run_counters = Counters::from_field_values(
-                    study::req_u64s(&r.payload, "counters")
-                        .try_into()
-                        .expect("counters payload carries every field"),
-                );
-                counters += &run_counters;
-                runs.push(TraceRun {
-                    cell: study::req_u64(&r.payload, "cell") as u32,
-                    result_digest: study::req_hex(&r.payload, "result_digest"),
-                    steps: study::req_u64(&r.payload, "steps"),
-                    reports: study::req_u64(&r.payload, "reports") as usize,
-                    events: study::req_u64(&r.payload, "events") as usize,
-                    counters: run_counters,
-                });
-            }
-        }
-        let digest = text_digest(&jsonl);
+        let s = TraceStudy::from_records(opts, records)?;
         let report = format!(
             "== End-to-end telemetry trace: {} under {} ==\n\n{}\n",
             opts.workload,
             opts.tool.name(),
-            render_report(
-                &opts.workload,
-                opts.tool,
-                kernel,
-                opts.threads,
-                &runs,
-                events,
-                dropped,
-                digest,
-                &hists,
-            )
+            s.render()
         );
-        let counter_fields: Vec<(&str, u64)> = counters.fields().collect();
-        // The span seed is the campaign spec hash — the same fingerprint
-        // sharding and resuming verify, and it already excludes `--threads`,
-        // so the span digest is invariant across worker counts.
-        let seed = crate::campaign::Campaign::new(self, opts.clone())
-            .map_err(|e| e.to_string())?
-            .spec_hash();
-        let spans = trace_spans(seed, &opts.workload, opts.tool, records);
         Ok(StudyOutput {
             report,
             main_artifacts: vec![
-                ("trace_events.jsonl".to_string(), jsonl),
-                (
-                    "trace_metrics.prom".to_string(),
-                    prometheus(kernel, &counter_fields, &hists, dropped),
-                ),
-                ("trace_digest.txt".to_string(), format!("{digest:#018x}\n")),
-                ("trace_spans.jsonl".to_string(), spans.to_jsonl()),
+                ("trace_events.jsonl".to_string(), s.events_jsonl.clone()),
+                ("trace_metrics.prom".to_string(), s.prometheus()),
+                ("trace_digest.txt".to_string(), s.digest_artifact()),
+                ("trace_spans.jsonl".to_string(), s.spans.to_jsonl()),
                 (
                     "trace_span_digest.txt".to_string(),
-                    format!("{:#018x}\n", spans.digest()),
+                    format!("{:#018x}\n", s.spans.digest()),
                 ),
             ],
             artifacts: vec![(
                 "trace_counters.csv".to_string(),
-                crate::csv::trace_counters_csv_runs(&runs),
+                crate::csv::trace_counters_csv(&s),
             )],
             ..StudyOutput::default()
         })
@@ -743,25 +585,46 @@ impl Study for TraceEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use giantsan_telemetry::{EventKind, PRE_CHECK_SITE};
+    use crate::batch::{BatchRunner, TraceSink};
+    use giantsan_telemetry::PRE_CHECK_SITE;
+
+    fn opts(workload: &str, tool: Tool) -> StudyOpts {
+        StudyOpts {
+            workload: workload.to_string(),
+            tool,
+            ..StudyOpts::default()
+        }
+    }
+
+    fn records(opts: &StudyOpts, runner: &BatchRunner) -> Vec<Record> {
+        Campaign::new(&TraceEntry, opts.clone())
+            .unwrap()
+            .run_all(runner)
+    }
+
+    fn traced(workload: &str, tool: Tool) -> TraceStudy {
+        let opts = opts(workload, tool);
+        TraceStudy::from_records(&opts, &records(&opts, &BatchRunner::default())).unwrap()
+    }
+
+    /// Whether any event line of `cell` (any cell if `None`) has kind `ev`.
+    fn has_event(s: &TraceStudy, cell: Option<u32>, ev: &str) -> bool {
+        let cell = cell.map(|c| format!("{{\"cell\":{c},"));
+        s.events_jsonl.lines().any(|l| {
+            l.contains(&format!("\"ev\":\"{ev}\""))
+                && cell.as_ref().is_none_or(|c| l.starts_with(c.as_str()))
+        })
+    }
 
     #[test]
     fn figure8_trace_covers_every_layer() {
-        let s = trace_study("figure8", Tool::GiantSan, 1).unwrap();
+        let s = traced("figure8", Tool::GiantSan);
         assert_eq!(s.runs.len(), DEFAULT_CELLS as usize);
+        assert_eq!(s.events, s.events_jsonl.lines().count());
         // Planner events (cell 0) are present alongside run events.
-        assert!(s
-            .events
-            .iter()
-            .any(|e| e.cell == 0 && matches!(e.kind, EventKind::Pass { .. })));
-        assert!(s
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Run { .. })));
-        assert!(s
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Alloc { .. })));
+        assert!(has_event(&s, Some(0), "pass"));
+        assert!(has_event(&s, None, "run"));
+        assert!(has_event(&s, None, "alloc"));
         // All three figure8 sites were observed.
         for site in [0u32, 1, 2] {
             assert!(s.hists.site(site).is_some(), "site {site} missing");
@@ -771,7 +634,7 @@ mod tests {
 
     #[test]
     fn figure8_hotspots_single_out_the_slow_path_sites() {
-        let s = trace_study("figure8", Tool::GiantSan, 1).unwrap();
+        let s = traced("figure8", Tool::GiantSan);
         // The data-dependent y[j] store (site 1) refreshes its history
         // cache once per cell, then hits it for the rest of the loop.
         let site1 = s.hists.site(1).expect("site 1 traced");
@@ -798,28 +661,20 @@ mod tests {
     }
 
     #[test]
-    fn data_plane_is_thread_invariant() {
-        let serial =
-            trace_study_with(&BatchRunner::serial(), "figure8", Tool::GiantSan, 1).unwrap();
-        let parallel =
-            trace_study_with(&BatchRunner::new(4), "figure8", Tool::GiantSan, 1).unwrap();
-        assert_eq!(serial.events, parallel.events);
-        assert_eq!(serial.digest(), parallel.digest());
-        assert_eq!(serial.hists, parallel.hists);
-        assert_eq!(serial.counters, parallel.counters);
-        assert_eq!(serial.runs, parallel.runs);
-    }
-
-    #[test]
     fn exporters_render_all_three_formats() {
-        let s = trace_study("figure8", Tool::GiantSan, 1).unwrap();
-        let jsonl = s.events_jsonl();
-        assert!(jsonl.lines().count() > 10);
-        assert!(jsonl.starts_with("{\"cell\":0,\"seq\":0,"));
-        let chrome = s.chrome_trace();
+        let opts = opts("figure8", Tool::GiantSan);
+        let sink = TraceSink::new();
+        let runner = BatchRunner::new(2).with_sink(std::sync::Arc::clone(&sink));
+        let records = records(&opts, &runner);
+        let s = TraceStudy::from_records(&opts, &records).unwrap();
+        assert!(s.events_jsonl.lines().count() > 10);
+        assert!(s.events_jsonl.starts_with("{\"cell\":0,\"seq\":0,"));
+        let presentation = TraceEntry.presentation(&opts, &records, &sink.take());
+        let chrome = &presentation[0].1;
         assert!(chrome.starts_with("{\"traceEvents\":["));
         assert!(chrome.contains("\"ph\":\"X\""));
         assert!(chrome.contains("check paths"));
+        assert!(chrome.contains(&format!("[kernel={}]", s.kernel)));
         let prom = s.prometheus();
         assert!(prom.contains(&format!(
             "giantsan_kernel_info{{kernel=\"{}\"}} 1",
@@ -827,82 +682,60 @@ mod tests {
         )));
         assert!(prom.contains("giantsan_shadow_loads_total"));
         assert!(prom.contains("giantsan_site_checks_total"));
-        assert!(chrome.contains(&format!("[kernel={}]", s.kernel)));
         assert!(s.digest_artifact().starts_with("0x"));
     }
 
     #[test]
-    fn span_artifacts_are_thread_invariant_and_match_the_study_path() {
-        use crate::campaign::Campaign;
-        let opts = StudyOpts {
-            workload: "figure8".to_string(),
-            tool: Tool::GiantSan,
-            scale: 1,
-            ..StudyOpts::default()
-        };
-        let campaign = Campaign::new(&TraceEntry, opts.clone()).unwrap();
-        let seed = campaign.spec_hash();
-        let serial = campaign.run_all(&BatchRunner::serial());
-        let two = Campaign::new(&TraceEntry, opts.clone())
+    fn span_chain_matches_the_live_event_stream() {
+        let opts = opts("figure8", Tool::GiantSan);
+        let s = TraceStudy::from_records(&opts, &records(&opts, &BatchRunner::new(4))).unwrap();
+        let seed = Campaign::new(&TraceEntry, opts.clone())
             .unwrap()
-            .run_all(&BatchRunner::new(2));
-        let parallel = Campaign::new(&TraceEntry, opts.clone())
-            .unwrap()
-            .run_all(&BatchRunner::new(4));
+            .spec_hash();
 
-        let artifact = |records: &[Record]| {
-            let out = TraceEntry.render(&opts, records).unwrap();
-            let jsonl = out
-                .main_artifacts
-                .iter()
-                .find(|(n, _)| n == "trace_spans.jsonl")
-                .map(|(_, c)| c.clone())
-                .expect("span artifact rendered");
-            let digest = out
-                .main_artifacts
-                .iter()
-                .find(|(n, _)| n == "trace_span_digest.txt")
-                .map(|(_, c)| c.clone())
-                .expect("span digest rendered");
-            (jsonl, digest)
-        };
-        let (jsonl_s, digest_s) = artifact(&serial);
-        let (jsonl_2, digest_2) = artifact(&two);
-        let (jsonl_p, digest_p) = artifact(&parallel);
-        assert_eq!(jsonl_s, jsonl_2, "span set is invariant at 2 workers");
-        assert_eq!(jsonl_s, jsonl_p, "span set is invariant at 4 workers");
-        assert_eq!(digest_s, digest_2);
-        assert_eq!(digest_s, digest_p);
-
-        // The payload-reconstructed chain equals the event-stream one.
-        let study = trace_study("figure8", Tool::GiantSan, 1).unwrap();
-        assert_eq!(study.span_set(seed).to_jsonl(), jsonl_s);
+        // The payload-reconstructed chain equals the one
+        // `SpanSet::hotspots` derives from each cell's live events.
+        let (program, base_inputs) = workload_program("figure8", 1).unwrap();
+        let spec = Tool::GiantSan.builder().spec();
+        let cells = DEFAULT_CELLS as usize + 1;
+        let (mut live, shard) = span_spine(seed, "figure8", Tool::GiantSan, cells);
+        for cell in 0..=DEFAULT_CELLS {
+            let mut rec = TraceRecorder::for_cell(cell);
+            let label = if cell == 0 {
+                analyze_recorded(&program, &spec.profile(), &mut rec);
+                "plan".to_string()
+            } else {
+                let inputs = cell_inputs("figure8", 1, cell, &base_inputs);
+                spec.run_planned_recorded(&program, &spec.plan(&program), &inputs, &mut rec);
+                format!("cell-{cell}")
+            };
+            let cell_span = live.child(shard, SpanKind::Cell, cell as u64, label);
+            live.hotspots(cell_span, &rec.finish().0);
+        }
+        assert_eq!(live.to_jsonl(), s.spans.to_jsonl());
 
         // The chain is causally complete: every span resolves to the
         // request root, and pass + slow-path leaves made it in.
-        let spans = trace_spans(seed, &opts.workload, opts.tool, &serial);
+        let spans = &s.spans;
         let root = spans.spans()[0].id;
         assert_eq!(spans.find(root).unwrap().kind, SpanKind::Request);
-        for s in spans.spans() {
-            assert_eq!(*spans.ancestry(s.id).last().unwrap(), root, "{s:?}");
+        for span in spans.spans() {
+            assert_eq!(*spans.ancestry(span.id).last().unwrap(), root, "{span:?}");
         }
         assert!(spans.spans().iter().any(|s| s.kind == SpanKind::Pass));
         assert!(spans.spans().iter().any(|s| s.kind == SpanKind::Check));
-        assert!(digest_s.starts_with("0x") && digest_s.ends_with('\n'));
     }
 
     #[test]
     fn spec_workloads_and_native_trace_too() {
-        let s = trace_study("519.lbm_r", Tool::Asan, 1).unwrap();
-        assert!(!s.events.is_empty());
-        let native = trace_study("figure8", Tool::Native, 1).unwrap();
+        let s = traced("519.lbm_r", Tool::Asan);
+        assert!(s.events > 0);
+        let native = traced("figure8", Tool::Native);
         // No planner events for Native (no pipeline runs), but run events
         // still flow; every check is planner-skipped.
-        assert!(native
-            .events
-            .iter()
-            .all(|e| !matches!(e.kind, EventKind::Pass { .. })));
+        assert!(!has_event(&native, None, "pass"));
+        assert!(has_event(&native, None, "run"));
         assert!(native.hists.sites.values().all(|m| m.total() == m.skipped));
-        assert!(trace_study("nope", Tool::GiantSan, 1).is_err());
+        assert!(Campaign::new(&TraceEntry, opts("nope", Tool::GiantSan)).is_err());
     }
 }

@@ -533,6 +533,8 @@ mod tests {
         assert!(JobSpec::from_json(&bad_shards, &reg).is_err());
         let bad_scale = Json::parse(r#"{"study":"echo","params":{"scale":0}}"#).unwrap();
         assert!(JobSpec::from_json(&bad_scale, &reg).is_err());
+        let bad_rounds = Json::parse(r#"{"study":"echo","params":{"rounds":0}}"#).unwrap();
+        assert!(JobSpec::from_json(&bad_rounds, &reg).is_err());
     }
 
     #[test]

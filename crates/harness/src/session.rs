@@ -6,8 +6,8 @@
 //! description: a cheap, `Send + Sync`, cloneable value carrying the tool
 //! identity, the [`RuntimeConfig`], and the [`GiantSanOptions`] — everything
 //! needed to construct a session from scratch. [`ToolBuilder`] is the fluent
-//! front door that replaces the old ad-hoc `match`-construction scattered
-//! through `tool.rs`.
+//! front door, and every run — experiment cells, the fuzzer, benches,
+//! examples — goes through a spec.
 //!
 //! ```text
 //! Tool::GiantSan.builder()          // ToolBuilder
@@ -22,17 +22,17 @@
 //! [`giantsan_ir::run`] at a concrete sanitizer type and the per-access
 //! check calls inline (PR 1's dispatch optimisation, preserved).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use giantsan_analysis::{analyze, ToolProfile};
 use giantsan_baselines::{Asan, AsanMinusMinus, Lfp};
 use giantsan_core::{GiantSan, GiantSanOptions};
 use giantsan_ir::{run_with, CheckPlan, ExecConfig, ExecResult, Program};
-use giantsan_runtime::{NullSanitizer, RuntimeConfig, Sanitizer};
+use giantsan_runtime::{Counters, NullSanitizer, RuntimeConfig, Sanitizer};
 use giantsan_telemetry::{NoopRecorder, Recorder};
 
 use crate::faults::{FaultPlan, FaultySanitizer};
-use crate::tool::{RunOutcome, Tool};
+use crate::tool::Tool;
 
 /// Fluent builder for a [`SessionSpec`].
 ///
@@ -293,6 +293,24 @@ impl SessionSpec {
     pub fn run(&self, program: &Program, inputs: &[i64]) -> RunOutcome {
         let plan = self.plan(program);
         self.run_planned(program, &plan, inputs)
+    }
+}
+
+/// Everything observed from one run.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// Interpreter result (reports, termination, work).
+    pub result: ExecResult,
+    /// Sanitizer counters (shadow loads, check paths, poisoning).
+    pub counters: Counters,
+    /// Wall-clock time of the run.
+    pub wall: Duration,
+}
+
+impl RunOutcome {
+    /// `true` if the run raised a report or crashed.
+    pub fn detected(&self) -> bool {
+        self.result.detected()
     }
 }
 

@@ -69,8 +69,9 @@ impl StudyOpts {
     const MAX_SCALE: u64 = 65_536;
 
     /// Rejects parameter values no study can run meaningfully: a `scale`
-    /// outside `[1, MAX_SCALE]`. The one check `repro` and `POST /v1/jobs`
-    /// both apply.
+    /// outside `[1, MAX_SCALE]`, zero traversal `rounds` (an empty Figure
+    /// 11), or a zero subsampling `div`. The one check `repro` and
+    /// `POST /v1/jobs` both apply.
     pub fn validate(&self) -> Result<(), String> {
         if self.scale == 0 || self.scale > Self::MAX_SCALE {
             return Err(format!(
@@ -78,6 +79,12 @@ impl StudyOpts {
                 self.scale,
                 Self::MAX_SCALE
             ));
+        }
+        if self.rounds == 0 {
+            return Err("rounds must be at least 1".to_string());
+        }
+        if self.div == 0 {
+            return Err("div must be at least 1".to_string());
         }
         Ok(())
     }

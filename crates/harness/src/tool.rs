@@ -3,15 +3,8 @@
 //! `Tool` is the identity half of the session API: it names a column of
 //! Table 2 and knows nothing about configuration. [`Tool::builder`] starts a
 //! [`crate::ToolBuilder`], which produces a [`crate::SessionSpec`] — the
-//! complete description workers of the batch engine build sessions from. The
-//! free functions here ([`run_planned`], [`run_tool`]) are the historical
-//! entry points, kept as thin wrappers over the spec API.
-
-use std::time::Duration;
-
-use giantsan_analysis::ToolProfile;
-use giantsan_ir::{CheckPlan, ExecResult, Program};
-use giantsan_runtime::{Counters, RuntimeConfig, Sanitizer};
+//! complete description workers of the batch engine build sessions from,
+//! and the one way to run a session.
 
 use crate::session::ToolBuilder;
 
@@ -73,77 +66,14 @@ impl Tool {
     pub fn builder(self) -> ToolBuilder {
         ToolBuilder::new(self)
     }
-
-    /// The instrumentation capabilities this tool's compiler pass has.
-    pub fn profile(self) -> ToolProfile {
-        self.builder().spec().profile()
-    }
-
-    /// Computes this tool's instrumentation plan for `program`.
-    pub fn plan(self, program: &Program) -> CheckPlan {
-        self.builder().spec().plan(program)
-    }
-
-    /// Instantiates the runtime over a fresh world.
-    pub fn sanitizer(self, config: &RuntimeConfig) -> Box<dyn Sanitizer> {
-        self.builder().config(config.clone()).spec().session()
-    }
-}
-
-/// Everything observed from one run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Interpreter result (reports, termination, work).
-    pub result: ExecResult,
-    /// Sanitizer counters (shadow loads, check paths, poisoning).
-    pub counters: Counters,
-    /// Wall-clock time of the run.
-    pub wall: Duration,
-}
-
-impl RunOutcome {
-    /// `true` if the run raised a report or crashed.
-    pub fn detected(&self) -> bool {
-        self.result.detected()
-    }
-}
-
-/// Runs `program` under `tool` with a pre-computed plan (reuse plans when
-/// running many inputs against one template).
-///
-/// Thin wrapper over [`crate::SessionSpec::run_planned`], which keeps the
-/// monomorphized dispatch: the tool match happens once, outside the
-/// interpreter, and per-access checks inline.
-pub fn run_planned(
-    tool: Tool,
-    program: &Program,
-    plan: &CheckPlan,
-    inputs: &[i64],
-    config: &RuntimeConfig,
-) -> RunOutcome {
-    tool.builder()
-        .config(config.clone())
-        .spec()
-        .run_planned(program, plan, inputs)
-}
-
-/// Plans and runs in one step.
-pub fn run_tool(
-    tool: Tool,
-    program: &Program,
-    inputs: &[i64],
-    config: &RuntimeConfig,
-) -> RunOutcome {
-    tool.builder()
-        .config(config.clone())
-        .spec()
-        .run(program, inputs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use giantsan_ir::ProgramBuilder;
+    use crate::session::RunOutcome;
+    use giantsan_ir::{Program, ProgramBuilder};
+    use giantsan_runtime::RuntimeConfig;
 
     fn tiny_program() -> (Program, Vec<i64>) {
         let mut b = ProgramBuilder::new("tiny");
@@ -155,11 +85,18 @@ mod tests {
         (b.build(), vec![])
     }
 
+    fn run(tool: Tool, prog: &Program, inputs: &[i64]) -> RunOutcome {
+        tool.builder()
+            .config(RuntimeConfig::small())
+            .spec()
+            .run(prog, inputs)
+    }
+
     #[test]
     fn every_tool_runs_the_same_program() {
         let (prog, inputs) = tiny_program();
         for tool in Tool::ALL {
-            let out = run_tool(tool, &prog, &inputs, &RuntimeConfig::small());
+            let out = run(tool, &prog, &inputs);
             assert!(!out.detected(), "{} raised on clean code", tool.name());
         }
     }
@@ -167,9 +104,9 @@ mod tests {
     #[test]
     fn check_counts_reflect_capabilities() {
         let (prog, inputs) = tiny_program();
-        let native = run_tool(Tool::Native, &prog, &inputs, &RuntimeConfig::small());
-        let asan = run_tool(Tool::Asan, &prog, &inputs, &RuntimeConfig::small());
-        let gs = run_tool(Tool::GiantSan, &prog, &inputs, &RuntimeConfig::small());
+        let native = run(Tool::Native, &prog, &inputs);
+        let asan = run(Tool::Asan, &prog, &inputs);
+        let gs = run(Tool::GiantSan, &prog, &inputs);
         assert_eq!(native.counters.shadow_loads, 0);
         assert_eq!(asan.counters.shadow_loads, 8, "one per store");
         assert!(
@@ -183,27 +120,6 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for t in Tool::ALL {
             assert!(seen.insert(t.name()));
-        }
-    }
-
-    #[test]
-    fn wrappers_agree_with_the_spec_api() {
-        let (prog, inputs) = tiny_program();
-        let cfg = RuntimeConfig::small();
-        for tool in Tool::ALL {
-            let via_wrapper = run_tool(tool, &prog, &inputs, &cfg);
-            let via_spec = tool
-                .builder()
-                .config(cfg.clone())
-                .spec()
-                .run(&prog, &inputs);
-            assert_eq!(via_wrapper.counters, via_spec.counters, "{}", tool.name());
-            assert_eq!(
-                via_wrapper.result.checksum,
-                via_spec.result.checksum,
-                "{}",
-                tool.name()
-            );
         }
     }
 }

@@ -45,6 +45,9 @@ fn usage_errors_exit_two() {
     assert_eq!(code(&repro(&["echo", "--scale"])), 2);
     // A scale no study can run.
     assert_eq!(code(&repro(&["table2", "--scale", "0"])), 2);
+    // Zero traversal rounds or a zero subsampling divisor.
+    assert_eq!(code(&repro(&["fig11", "--rounds", "0"])), 2);
+    assert_eq!(code(&repro(&["table3", "--div", "0"])), 2);
     // --shard without --out-dir is an invalid combination.
     assert_eq!(code(&repro(&["echo", "--shard", "0/2"])), 2);
     // merge without a directory operand.

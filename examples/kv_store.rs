@@ -12,7 +12,7 @@
 //! paper's evaluation drives at scale.
 
 use giantsan::analysis::{analyze, SiteFate, ToolProfile};
-use giantsan::harness::{run_tool, Tool};
+use giantsan::harness::Tool;
 use giantsan::ir::{Expr, Program, ProgramBuilder};
 use giantsan::runtime::RuntimeConfig;
 
@@ -102,7 +102,11 @@ fn main() {
         Tool::AsanMinusMinus,
         Tool::Lfp,
     ] {
-        let out = run_tool(tool, &prog, &inputs, &RuntimeConfig::default());
+        let out = tool
+            .builder()
+            .config(RuntimeConfig::default())
+            .spec()
+            .run(&prog, &inputs);
         assert!(
             out.result.reports.is_empty(),
             "{}: unexpected report {:?}",

@@ -9,7 +9,7 @@
 //! compares how much metadata each configuration loaded.
 
 use giantsan::analysis::{analyze, ToolProfile};
-use giantsan::harness::{run_tool, Tool};
+use giantsan::harness::Tool;
 use giantsan::ir::{Expr, Program, ProgramBuilder};
 use giantsan::runtime::RuntimeConfig;
 
@@ -56,7 +56,11 @@ fn main() {
     println!("\n— execution over N = {n} —");
     let cfg = RuntimeConfig::default();
     for tool in [Tool::Asan, Tool::AsanMinusMinus, Tool::GiantSan] {
-        let out = run_tool(tool, &prog, &inputs, &cfg);
+        let out = tool
+            .builder()
+            .config(cfg.clone())
+            .spec()
+            .run(&prog, &inputs);
         let c = &out.counters;
         println!(
             "{:<10} shadow loads {:>8}   checks: fast {:>6} slow {:>4} cached {:>6}",

@@ -10,7 +10,7 @@
 //! *higher* addresses from lower ones, so reverse traversals anchored at the
 //! buffer end pay a dedicated underflow check per access.
 
-use giantsan::harness::{run_tool, Tool};
+use giantsan::harness::Tool;
 use giantsan::runtime::RuntimeConfig;
 use giantsan::workloads::{traversal_program, Pattern};
 
@@ -27,7 +27,11 @@ fn main() {
     for pattern in Pattern::ALL {
         let (prog, inputs) = traversal_program(pattern, size, rounds);
         for tool in [Tool::Native, Tool::GiantSan, Tool::Asan] {
-            let out = run_tool(tool, &prog, &inputs, &cfg);
+            let out = tool
+                .builder()
+                .config(cfg.clone())
+                .spec()
+                .run(&prog, &inputs);
             assert!(out.result.reports.is_empty());
             let c = &out.counters;
             println!(

@@ -4,13 +4,17 @@
 //! its mechanism predicts — in particular that GiantSan's anchored
 //! operation-level checks *dominate* ASan's instruction-level ones.
 
-use giantsan::harness::{run_tool, Tool};
+use giantsan::harness::Tool;
 use giantsan::ir::Program;
 use giantsan::runtime::RuntimeConfig;
 use giantsan::workloads::fuzz::{buggy_program, InjectedBug};
 
 fn detected(tool: Tool, prog: &Program) -> bool {
-    run_tool(tool, prog, &[], &RuntimeConfig::small()).detected()
+    tool.builder()
+        .config(RuntimeConfig::small())
+        .spec()
+        .run(prog, &[])
+        .detected()
 }
 
 #[test]

@@ -4,17 +4,26 @@
 
 use giantsan::workloads::fuzz;
 
-use giantsan::harness::{run_tool, Tool};
+use giantsan::harness::{RunOutcome, Tool};
+use giantsan::ir::Program;
 use giantsan::runtime::RuntimeConfig;
 
 const SEEDS: u64 = 60;
+
+/// Runs `program` under `tool` in a fresh session with the small config.
+fn run_small(tool: Tool, program: &Program, inputs: &[i64]) -> RunOutcome {
+    tool.builder()
+        .config(RuntimeConfig::small())
+        .spec()
+        .run(program, inputs)
+}
 
 #[test]
 fn no_false_positives_on_random_safe_programs() {
     for seed in 0..SEEDS {
         let sp = fuzz::safe_program(seed);
         for tool in Tool::ALL {
-            let out = run_tool(tool, &sp.program, &sp.inputs, &RuntimeConfig::small());
+            let out = run_small(tool, &sp.program, &sp.inputs);
             assert!(
                 out.result.reports.is_empty(),
                 "seed {seed}: {} reported {:?}",
@@ -35,14 +44,9 @@ fn no_false_positives_on_random_safe_programs() {
 fn checksums_agree_across_all_tools() {
     for seed in 0..SEEDS {
         let sp = fuzz::safe_program(seed);
-        let reference = run_tool(
-            Tool::Native,
-            &sp.program,
-            &sp.inputs,
-            &RuntimeConfig::small(),
-        );
+        let reference = run_small(Tool::Native, &sp.program, &sp.inputs);
         for tool in Tool::ALL {
-            let out = run_tool(tool, &sp.program, &sp.inputs, &RuntimeConfig::small());
+            let out = run_small(tool, &sp.program, &sp.inputs);
             assert_eq!(
                 out.result.checksum,
                 reference.result.checksum,
@@ -84,13 +88,8 @@ fn giantsan_loads_no_more_shadow_than_asan() {
     let mut total_asan = 0u64;
     for seed in 0..SEEDS {
         let sp = fuzz::safe_program(seed);
-        let gs = run_tool(
-            Tool::GiantSan,
-            &sp.program,
-            &sp.inputs,
-            &RuntimeConfig::small(),
-        );
-        let asan = run_tool(Tool::Asan, &sp.program, &sp.inputs, &RuntimeConfig::small());
+        let gs = run_small(Tool::GiantSan, &sp.program, &sp.inputs);
+        let asan = run_small(Tool::Asan, &sp.program, &sp.inputs);
         total_gs += gs.counters.shadow_loads;
         total_asan += asan.counters.shadow_loads;
     }
@@ -107,30 +106,15 @@ fn ablations_bracket_full_giantsan() {
     let mut elim_only = 0u64;
     for seed in 0..SEEDS {
         let sp = fuzz::safe_program(seed);
-        gs += run_tool(
-            Tool::GiantSan,
-            &sp.program,
-            &sp.inputs,
-            &RuntimeConfig::small(),
-        )
-        .counters
-        .shadow_loads;
-        cache_only += run_tool(
-            Tool::CacheOnly,
-            &sp.program,
-            &sp.inputs,
-            &RuntimeConfig::small(),
-        )
-        .counters
-        .shadow_loads;
-        elim_only += run_tool(
-            Tool::EliminationOnly,
-            &sp.program,
-            &sp.inputs,
-            &RuntimeConfig::small(),
-        )
-        .counters
-        .shadow_loads;
+        gs += run_small(Tool::GiantSan, &sp.program, &sp.inputs)
+            .counters
+            .shadow_loads;
+        cache_only += run_small(Tool::CacheOnly, &sp.program, &sp.inputs)
+            .counters
+            .shadow_loads;
+        elim_only += run_small(Tool::EliminationOnly, &sp.program, &sp.inputs)
+            .counters
+            .shadow_loads;
     }
     assert!(gs <= cache_only, "full {gs} vs cache-only {cache_only}");
     assert!(gs <= elim_only, "full {gs} vs elim-only {elim_only}");

@@ -6,9 +6,17 @@
 use giantsan::analysis::{analyze, SiteFate, ToolProfile};
 use giantsan::baselines::{Asan, Lfp};
 use giantsan::core::{check_region, check_region_bytewise, GiantSan};
-use giantsan::harness::{run_tool, Tool};
-use giantsan::ir::{run, CheckPlan, ExecConfig, Expr, ProgramBuilder, Termination};
+use giantsan::harness::{RunOutcome, Tool};
+use giantsan::ir::{run, CheckPlan, ExecConfig, Expr, Program, ProgramBuilder, Termination};
 use giantsan::runtime::{AccessKind, Region, RuntimeConfig, Sanitizer};
+
+/// Runs `program` under `tool` in a fresh session with the small config.
+fn run_small(tool: Tool, program: &Program, inputs: &[i64]) -> RunOutcome {
+    tool.builder()
+        .config(RuntimeConfig::small())
+        .spec()
+        .run(program, inputs)
+}
 
 #[test]
 fn encoding_survives_heavy_alloc_free_churn() {
@@ -212,7 +220,7 @@ fn zero_sized_and_one_byte_allocations() {
         b.free(p);
         b.free(q);
         let prog = b.build();
-        let out = run_tool(tool, &prog, &[], &RuntimeConfig::small());
+        let out = run_small(tool, &prog, &[]);
         assert!(
             out.result.reports.is_empty(),
             "{}: {:?}",
@@ -238,7 +246,7 @@ fn memcpy_between_distinct_objects_checks_both_sides() {
         b.free(src);
         b.free(dst);
         let prog = b.build();
-        let out = run_tool(Tool::GiantSan, &prog, &[], &RuntimeConfig::small());
+        let out = run_small(Tool::GiantSan, &prog, &[]);
         assert_eq!(
             !out.result.reports.is_empty(),
             should_fail,
@@ -263,7 +271,7 @@ fn frames_nested_five_deep_unwind_cleanly() {
     nest(&mut b, 4);
     let prog = b.build();
     for tool in [Tool::GiantSan, Tool::Asan] {
-        let out = run_tool(tool, &prog, &[], &RuntimeConfig::small());
+        let out = run_small(tool, &prog, &[]);
         assert!(out.result.reports.is_empty(), "{}", tool.name());
         assert_eq!(out.result.termination, Termination::Finished);
     }
@@ -343,7 +351,7 @@ fn realloc_through_the_interpreter() {
         (Tool::Lfp, true), // freed slot not yet reused
         (Tool::Native, false),
     ] {
-        let out = run_tool(tool, &prog, &[], &RuntimeConfig::small());
+        let out = run_small(tool, &prog, &[]);
         assert_eq!(
             out.result.reports.len(),
             expect_uaf as usize,
@@ -368,7 +376,7 @@ fn global_objects_live_across_frames() {
     // Overflowing the global is still caught.
     b.store(g, 128i64, 8, 3i64);
     let prog = b.build();
-    let out = run_tool(Tool::GiantSan, &prog, &[], &RuntimeConfig::small());
+    let out = run_small(Tool::GiantSan, &prog, &[]);
     assert_eq!(out.result.reports.len(), 1);
     assert_eq!(
         out.result.reports[0].kind,

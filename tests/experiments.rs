@@ -1,13 +1,23 @@
-//! Smoke tests over the experiment reproducers: each table/figure builds and
-//! exhibits the paper's qualitative claims at reduced scale.
+//! Smoke tests over the experiment reproducers: each table/figure builds
+//! through its registry study and exhibits the paper's qualitative claims at
+//! reduced scale.
 
+use giantsan::harness::campaign::Campaign;
 use giantsan::harness::experiments::{fig10, fig11, table2, table3, table4, table5};
-use giantsan::harness::Tool;
+use giantsan::harness::{BatchRunner, Record, Study, StudyOpts, Tool};
 use giantsan::workloads::Pattern;
+
+/// Runs `study` at `opts` the way `repro` does.
+fn records(study: &dyn Study, opts: &StudyOpts) -> Vec<Record> {
+    Campaign::new(study, opts.clone())
+        .expect("valid opts")
+        .run_all(&BatchRunner::default())
+}
 
 #[test]
 fn table2_reproduces_the_headline_ordering() {
-    let t = table2::table2(1);
+    let opts = StudyOpts::default();
+    let t = table2::Table2::from_records(&opts, &records(&table2::Table2Entry, &opts));
     let col = |tool: Tool| {
         table2::COLUMNS
             .iter()
@@ -41,7 +51,8 @@ fn table2_reproduces_the_headline_ordering() {
 
 #[test]
 fn fig10_majority_of_checks_optimised() {
-    let f = fig10::fig10(1);
+    let opts = StudyOpts::default();
+    let f = fig10::Fig10::from_records(&opts, &records(&fig10::Fig10Entry, &opts));
     assert!(f.mean_optimised > 0.35 && f.mean_optimised < 0.95);
     // mcf/namd/lbm class kernels: roughly 80%+ optimised (paper §5.2 says
     // "more than 80% of the checks ... are eliminated or cached" there).
@@ -57,7 +68,11 @@ fn fig10_majority_of_checks_optimised() {
 
 #[test]
 fn table3_rows_match_paper_at_full_family_shape() {
-    let t = table3::table3(25);
+    let opts = StudyOpts {
+        div: 25,
+        ..StudyOpts::default()
+    };
+    let t = table3::Table3::from_records(&opts, &records(&table3::Table3Entry, &opts)).unwrap();
     let lfp = 3usize;
     for r in &t.rows {
         // Location-based tools tie on every row.
@@ -76,7 +91,8 @@ fn table3_rows_match_paper_at_full_family_shape() {
 
 #[test]
 fn table4_exact_match() {
-    let t = table4::table4();
+    let opts = StudyOpts::default();
+    let t = table4::Table4::from_records(&opts, &records(&table4::Table4Entry, &opts));
     assert!(t.missed_by(Tool::GiantSan).is_empty());
     assert!(t.missed_by(Tool::Asan).is_empty());
     assert_eq!(
@@ -87,7 +103,11 @@ fn table4_exact_match() {
 
 #[test]
 fn table5_php_gaps() {
-    let t = table5::table5(25);
+    let opts = StudyOpts {
+        div: 25,
+        ..StudyOpts::default()
+    };
+    let t = table5::Table5::from_records(&opts, &records(&table5::Table5Entry, &opts)).unwrap();
     let php = t.rows.iter().find(|r| r.project == "php").unwrap();
     // Columns: ASan--16, ASan--512, ASan16, ASan512, GiantSan16.
     assert!(php.detected[2] < php.detected[3]);
@@ -100,7 +120,11 @@ fn table5_php_gaps() {
 
 #[test]
 fn fig11_signs() {
-    let f = fig11::fig11(1);
+    let opts = StudyOpts {
+        rounds: 1,
+        ..StudyOpts::default()
+    };
+    let f = fig11::Fig11::from_records(&opts, &records(&fig11::Fig11Entry, &opts));
     assert!(f.speedup_vs_asan(Pattern::Forward) > 1.0);
     assert!(f.speedup_vs_asan(Pattern::Random) > 1.0);
     assert!(f.speedup_vs_asan(Pattern::Reverse) < 1.0);

@@ -5,14 +5,25 @@
 
 use proptest::prelude::*;
 
-use giantsan::harness::experiments::fault_study::{
-    fault_matrix, fault_study_with, FaultStudy, Verdict,
-};
-use giantsan::harness::{BatchRunner, FaultKind, FaultPlan, Tool};
+use giantsan::harness::campaign::Campaign;
+use giantsan::harness::experiments::fault_study::{fault_matrix, FaultStudy, FaultsEntry, Verdict};
+use giantsan::harness::{BatchRunner, FaultKind, FaultPlan, StudyOpts, Tool};
 use giantsan::ir::Termination;
 use giantsan::runtime::{RecoveryPolicy, RuntimeConfig};
 use giantsan::workloads::fuzz::InjectedBug;
 use giantsan::workloads::spec_workload;
+
+/// Runs the `repro faults` campaign at `campaign_seed` on `runner`.
+fn fault_study(campaign_seed: u64, runner: &BatchRunner) -> FaultStudy {
+    let opts = StudyOpts {
+        seed: campaign_seed,
+        ..StudyOpts::default()
+    };
+    let records = Campaign::new(&FaultsEntry, opts.clone())
+        .expect("valid opts")
+        .run_all(runner);
+    FaultStudy::from_records(&opts, &records).expect("records render")
+}
 
 fn recover_config() -> RuntimeConfig {
     RuntimeConfig::small()
@@ -28,7 +39,7 @@ fn recover_config() -> RuntimeConfig {
 fn fault_campaign_digest_is_thread_invariant() {
     let studies: Vec<FaultStudy> = [1usize, 2, 8]
         .iter()
-        .map(|&t| fault_study_with(&BatchRunner::new(t), 0x9aa2_c0de, 1))
+        .map(|&t| fault_study(0x9aa2_c0de, &BatchRunner::new(t)))
         .collect();
     for s in &studies {
         assert_eq!(s.harness_panics, 0, "no cell may panic the harness");
@@ -50,7 +61,7 @@ fn recover_policy_is_transparent_on_clean_runs() {
     let recover = Tool::GiantSan.builder().config(recover_config()).spec();
     for id in ["519.lbm_r", "505.mcf_r", "557.xz_r"] {
         let w = spec_workload(id, 2).expect("known workload");
-        let plan = Tool::GiantSan.plan(&w.program);
+        let plan = halt.plan(&w.program);
         let h = halt.run_planned(&w.program, &plan, &w.inputs);
         let r = recover.run_planned(&w.program, &plan, &w.inputs);
         assert!(h.result.reports.is_empty(), "{id} must run clean");
@@ -164,7 +175,7 @@ proptest! {
 #[test]
 fn verdicts_partition_the_matrix() {
     for campaign_seed in [0u64, 3, 11] {
-        let s = fault_study_with(&BatchRunner::new(4), campaign_seed, 1);
+        let s = fault_study(campaign_seed, &BatchRunner::new(4));
         assert_eq!(s.harness_panics, 0);
         for o in &s.outcomes {
             if o.label.contains("fuzz-safe") {

@@ -14,7 +14,7 @@ fn clean_mix_outcomes() -> Vec<(u64, Counters)> {
         .iter()
         .map(|id| {
             let w = spec_workload(id, 2).expect("known workload");
-            let plan = Tool::GiantSan.plan(&w.program);
+            let plan = spec.plan(&w.program);
             let out = spec.run_planned(&w.program, &plan, &w.inputs);
             assert!(out.result.reports.is_empty(), "{id} must run clean");
             (out.result.digest(), out.counters)

@@ -5,9 +5,17 @@
 use giantsan::analysis::{analyze, SiteFate, ToolProfile};
 use giantsan::baselines::Asan;
 use giantsan::core::{encoding, GiantSan};
-use giantsan::harness::{run_tool, Tool};
-use giantsan::ir::{run, ExecConfig, Expr, ProgramBuilder};
+use giantsan::harness::{RunOutcome, Tool};
+use giantsan::ir::{run, ExecConfig, Expr, Program, ProgramBuilder};
 use giantsan::runtime::{AccessKind, CacheSlot, Region, RuntimeConfig, Sanitizer};
+
+/// Runs `program` under `tool` in a fresh session with the small config.
+fn run_small(tool: Tool, program: &Program, inputs: &[i64]) -> RunOutcome {
+    tool.builder()
+        .config(RuntimeConfig::small())
+        .spec()
+        .run(program, inputs)
+}
 
 /// §1: "checking whether a 1KB region contains a non-addressable byte
 /// requires loading 128 segment states in ASan."
@@ -132,13 +140,13 @@ fn table1_constant_propagation_row() {
     b.load_discard(p, 160i64, 8);
     b.free(p);
     let prog = b.build();
-    let gs = run_tool(Tool::GiantSan, &prog, &[256], &RuntimeConfig::small());
+    let gs = run_small(Tool::GiantSan, &prog, &[256]);
     assert_eq!(
         gs.counters.fast_checks + gs.counters.slow_checks,
         1,
         "operation-level: one merged check"
     );
-    let asan = run_tool(Tool::Asan, &prog, &[256], &RuntimeConfig::small());
+    let asan = run_small(Tool::Asan, &prog, &[256]);
     assert_eq!(asan.counters.fast_checks, 3, "instruction-level: three");
 
     // With a *constant* size the checks vanish entirely: the accesses are
@@ -150,7 +158,7 @@ fn table1_constant_propagation_row() {
     b.load_discard(p, 160i64, 8);
     b.free(p);
     let prog = b.build();
-    let gs = run_tool(Tool::GiantSan, &prog, &[], &RuntimeConfig::small());
+    let gs = run_small(Tool::GiantSan, &prog, &[]);
     assert_eq!(gs.counters.total_checks(), 0, "statically safe: no checks");
 }
 
@@ -164,13 +172,13 @@ fn table1_memset_row() {
     b.memset(p, 0i64, n, 0i64);
     b.free(p);
     let prog = b.build();
-    let gs = run_tool(Tool::GiantSan, &prog, &[], &RuntimeConfig::small());
+    let gs = run_small(Tool::GiantSan, &prog, &[]);
     assert!(
         gs.counters.shadow_loads <= 3,
         "{}",
         gs.counters.shadow_loads
     );
-    let asan = run_tool(Tool::Asan, &prog, &[], &RuntimeConfig::small());
+    let asan = run_small(Tool::Asan, &prog, &[]);
     assert_eq!(asan.counters.shadow_loads as i64, n / 8, "Θ(N) guardian");
 }
 
@@ -185,9 +193,9 @@ fn table1_bounded_loop_row() {
     });
     b.free(p);
     let prog = b.build();
-    let gs = run_tool(Tool::GiantSan, &prog, &[], &RuntimeConfig::small());
+    let gs = run_small(Tool::GiantSan, &prog, &[]);
     assert_eq!(gs.counters.fast_checks + gs.counters.slow_checks, 1);
-    let asan = run_tool(Tool::Asan, &prog, &[], &RuntimeConfig::small());
+    let asan = run_small(Tool::Asan, &prog, &[]);
     assert_eq!(asan.counters.fast_checks as i64, n);
 }
 
@@ -232,7 +240,7 @@ fn figure8_check_counts() {
     );
     assert!(c.cache_hits + c.cache_updates >= n as u64);
     // "2 + 3N checks in existing location-based methods."
-    let asan = run_tool(Tool::Asan, &prog, &[n], &RuntimeConfig::small());
+    let asan = run_small(Tool::Asan, &prog, &[n]);
     assert!(asan.counters.total_checks() as i64 >= 3 * n);
 }
 
