@@ -33,17 +33,17 @@
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
-use giantsan_telemetry::export::ChromeTrace;
 use giantsan_telemetry::{span_id, FlightEventKind, FlightRecorder, SpanKind};
 
 /// Flight-recorder attachment (see [`BatchRunner::with_flight`]): the shared
 /// recorder, the causal span the batch's cells hang under, and the global
 /// index of the batch's first cell (shard-relative batches record global
-/// cell indices so dumps correlate with campaign labels).
+/// cell indices so dumps correlate with campaign labels; see
+/// [`BatchRunner::rebased`]).
 #[derive(Debug, Clone)]
 struct FlightPlan {
     recorder: Arc<FlightRecorder>,
@@ -55,155 +55,6 @@ impl FlightPlan {
     fn cell_span(&self, i: usize) -> (u64, u64) {
         let cell = self.index_base + i as u64;
         (span_id(self.parent_span, SpanKind::Cell, cell), cell)
-    }
-}
-
-/// One executed cell as seen by the scheduler: where it ran, how long, and
-/// how many attempts it took.
-///
-/// Spans are **presentation-plane** records (see the telemetry crate's
-/// thread-invariance rule): they carry wall-clock and worker identity and
-/// exist only to be rendered as a Chrome trace. Nothing here is ever
-/// digested.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellSpan {
-    /// Ordinal of the batch (`map`/`try_map` call) this cell belonged to.
-    pub batch: u32,
-    /// Cell index within the batch.
-    pub index: usize,
-    /// Worker that executed the cell (0 on the serial path).
-    pub worker: usize,
-    /// Attempts the cell took (1 = first try succeeded).
-    pub attempts: u32,
-    /// Microseconds since the sink's origin at which the cell was claimed.
-    pub start_us: f64,
-    /// Wall-clock duration of the cell in microseconds (all attempts).
-    pub dur_us: f64,
-}
-
-/// One whole batch (`map`/`try_map` call).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchSpan {
-    /// Batch ordinal (shared with the member [`CellSpan`]s).
-    pub batch: u32,
-    /// Number of cells in the batch.
-    pub cells: usize,
-    /// Worker-pool size used for the batch.
-    pub threads: usize,
-    /// Microseconds since the sink's origin at which the batch started.
-    pub start_us: f64,
-    /// Wall-clock duration of the whole batch in microseconds.
-    pub dur_us: f64,
-}
-
-/// Everything a [`TraceSink`] collected: batch spans plus cell spans.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchTrace {
-    /// One span per `map`/`try_map` call, in call order.
-    pub batches: Vec<BatchSpan>,
-    /// One span per executed cell (quarantined cells included).
-    pub cells: Vec<CellSpan>,
-}
-
-impl BatchTrace {
-    /// Renders the scheduling trace into `trace` as Chrome `trace_event`
-    /// slices: one process (`pid`), one named track per worker, one slice
-    /// per cell (annotated with batch, index, and attempts), and one slice
-    /// per batch on a dedicated "scheduler" track.
-    pub fn render_chrome(&self, trace: &mut ChromeTrace, pid: u32, process: &str) {
-        trace.process_name(pid, process);
-        trace.thread_name(pid, 0, "scheduler");
-        let workers: std::collections::BTreeSet<usize> =
-            self.cells.iter().map(|c| c.worker).collect();
-        for w in &workers {
-            trace.thread_name(pid, *w as u32 + 1, &format!("worker {w}"));
-        }
-        for b in &self.batches {
-            trace.complete(
-                pid,
-                0,
-                &format!("batch {}", b.batch),
-                "batch",
-                b.start_us,
-                b.dur_us,
-                &[
-                    ("cells", &b.cells.to_string()),
-                    ("threads", &b.threads.to_string()),
-                ],
-            );
-        }
-        for c in &self.cells {
-            trace.complete(
-                pid,
-                c.worker as u32 + 1,
-                &format!("cell {}", c.index),
-                "cell",
-                c.start_us,
-                c.dur_us,
-                &[
-                    ("batch", &c.batch.to_string()),
-                    ("attempts", &c.attempts.to_string()),
-                ],
-            );
-        }
-    }
-}
-
-/// Shared collector for batch-scheduling spans.
-///
-/// Attach one to a [`BatchRunner`] with [`BatchRunner::with_sink`]; every
-/// subsequent `map`/`try_map` call records per-cell and per-batch wall-clock
-/// spans into it. The sink is internally synchronised — workers append
-/// concurrently — and the collected [`BatchTrace`] is drained with
-/// [`TraceSink::take`].
-#[derive(Debug)]
-pub struct TraceSink {
-    origin: Instant,
-    next_batch: AtomicU32,
-    trace: Mutex<BatchTrace>,
-}
-
-impl TraceSink {
-    /// A fresh sink; its origin (timestamp zero) is the moment of creation.
-    pub fn new() -> Arc<Self> {
-        Arc::new(TraceSink {
-            origin: Instant::now(),
-            next_batch: AtomicU32::new(0),
-            trace: Mutex::new(BatchTrace::default()),
-        })
-    }
-
-    /// Microseconds elapsed since the sink was created.
-    fn now_us(&self) -> f64 {
-        self.origin.elapsed().as_secs_f64() * 1e6
-    }
-
-    fn claim_batch(&self) -> u32 {
-        self.next_batch.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn push_cell(&self, span: CellSpan) {
-        self.trace
-            .lock()
-            .expect("trace sink poisoned")
-            .cells
-            .push(span);
-    }
-
-    fn push_batch(&self, span: BatchSpan) {
-        self.trace
-            .lock()
-            .expect("trace sink poisoned")
-            .batches
-            .push(span);
-    }
-
-    /// Drains everything collected so far, sorted by start time.
-    pub fn take(&self) -> BatchTrace {
-        let mut t = std::mem::take(&mut *self.trace.lock().expect("trace sink poisoned"));
-        t.cells.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-        t.batches.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-        t
     }
 }
 
@@ -298,21 +149,9 @@ pub struct BatchOutcome<R> {
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     threads: usize,
-    sink: Option<Arc<TraceSink>>,
     cell_deadline: Option<Duration>,
     flight: Option<FlightPlan>,
 }
-
-impl PartialEq for BatchRunner {
-    /// Two runners are equal when they schedule identically (same worker
-    /// count); an attached trace sink or flight recorder observes
-    /// scheduling without changing it, so neither participates in equality.
-    fn eq(&self, other: &Self) -> bool {
-        self.threads == other.threads
-    }
-}
-
-impl Eq for BatchRunner {}
 
 impl BatchRunner {
     /// Attempts per cell before it is quarantined (1 initial + 2 retries).
@@ -322,7 +161,6 @@ impl BatchRunner {
     pub fn new(threads: usize) -> Self {
         BatchRunner {
             threads: threads.max(1),
-            sink: None,
             cell_deadline: None,
             flight: None,
         }
@@ -345,46 +183,36 @@ impl BatchRunner {
         self
     }
 
-    /// The armed per-cell deadline, if any.
-    pub fn cell_deadline(&self) -> Option<Duration> {
-        self.cell_deadline
-    }
-
-    /// Attaches a [`TraceSink`]: every subsequent `map`/`try_map` call
-    /// records per-cell and per-batch scheduling spans into it. Tracing is
-    /// observation-only — results and their ordering are unchanged.
-    #[must_use]
-    pub fn with_sink(mut self, sink: Arc<TraceSink>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// The attached trace sink, if any.
-    pub fn sink(&self) -> Option<&Arc<TraceSink>> {
-        self.sink.as_ref()
-    }
-
     /// Attaches a crash [`FlightRecorder`]: every subsequent `map`/`try_map`
     /// call records cell lifecycle events (start, end, retry, timeout,
     /// quarantine) into the bounded ring, attributed to the causal span
-    /// `span_id(parent_span, SpanKind::Cell, index_base + i)`. `index_base`
-    /// is the global index of the batch's first cell, so shard-relative
-    /// batches record campaign-global cell indices. Recording is lock-free
-    /// and allocation-free; like the trace sink it is observation-only and
-    /// never changes results.
+    /// `span_id(parent_span, SpanKind::Cell, index)`. The index is the
+    /// cell's position in the batch; `Campaign::run_shard` rebases it to
+    /// the shard's first cell, so every campaign run records
+    /// campaign-global cell indices. Recording is lock-free
+    /// and allocation-free, and it is observation-only: results and their
+    /// ordering are unchanged. This is the engine's only observer — the
+    /// `--telemetry` schedule dump and `repro serve`'s crash dumps both
+    /// render the same ring ([`FlightRecorder::to_chrome`]).
     #[must_use]
-    pub fn with_flight(
-        mut self,
-        recorder: Arc<FlightRecorder>,
-        parent_span: u64,
-        index_base: u64,
-    ) -> Self {
+    pub fn with_flight(mut self, recorder: Arc<FlightRecorder>, parent_span: u64) -> Self {
         self.flight = Some(FlightPlan {
             recorder,
             parent_span,
-            index_base,
+            index_base: 0,
         });
         self
+    }
+
+    /// This runner with its flight attachment (if any) rebased so the
+    /// batch's first cell records global index `index_base` — how a
+    /// campaign shard keeps campaign-global cell indices in the ring.
+    pub(crate) fn rebased(&self, index_base: u64) -> Self {
+        let mut runner = self.clone();
+        if let Some(plan) = &mut runner.flight {
+            plan.index_base = index_base;
+        }
+        runner
     }
 
     /// A single-threaded runner: cells run inline, in order.
@@ -454,12 +282,9 @@ impl BatchRunner {
         F: Fn(usize, &T) -> R + Sync,
     {
         let n = items.len();
-        let sink = self.sink.as_deref();
-        let batch = sink.map(|s| (s.claim_batch(), s.now_us()));
         let deadline = self.cell_deadline;
         let flight = self.flight.as_ref();
         let run_cell = |i: usize, worker: usize, item: &T| -> (u32, Result<R, CellFailure>) {
-            let start_us = sink.map(|s| s.now_us());
             // (recorder, cell span id, global cell index) when a flight
             // recorder is attached; the span links the ring dump back to
             // the causal chain in `spans.jsonl`.
@@ -473,7 +298,7 @@ impl BatchRunner {
                 }
             };
             let mut attempts = 0u32;
-            let out = loop {
+            loop {
                 attempts += 1;
                 flight_mark(FlightEventKind::CellStart, attempts as u64);
                 let attempt = || {
@@ -520,18 +345,7 @@ impl BatchRunner {
                         backoff(attempts);
                     }
                 }
-            };
-            if let (Some(s), Some(start_us), Some((batch, _))) = (sink, start_us, batch) {
-                s.push_cell(CellSpan {
-                    batch,
-                    index: i,
-                    worker,
-                    attempts: out.0,
-                    start_us,
-                    dur_us: s.now_us() - start_us,
-                });
             }
-            out
         };
 
         let cells: Vec<CellRecord<R>> = if self.threads == 1 || n <= 1 {
@@ -575,16 +389,6 @@ impl BatchRunner {
             });
             shards.into_iter().flatten().collect()
         };
-
-        if let (Some(s), Some((batch, start_us))) = (sink, batch) {
-            s.push_batch(BatchSpan {
-                batch,
-                cells: n,
-                threads: self.threads,
-                start_us,
-                dur_us: s.now_us() - start_us,
-            });
-        }
 
         // Deterministic merge: place every result at its cell index, so the
         // output order owes nothing to scheduling.
@@ -780,7 +584,8 @@ mod tests {
         let items: Vec<u64> = (0..4).collect();
         let parent = 0x5111;
         let outcome = BatchRunner::new(2)
-            .with_flight(Arc::clone(&fr), parent, 100)
+            .with_flight(Arc::clone(&fr), parent)
+            .rebased(100)
             .try_map(&items, |i, x| {
                 if i == 1 {
                     panic!("boom");

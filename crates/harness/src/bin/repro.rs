@@ -13,7 +13,7 @@
 //! repro memory [--scale N]          memory-overhead study
 //! repro density [--scale N]         achieved protection-density study
 //! repro faults [--seed S] [--format json]   fault-injection campaign (detected/recovered/missed/crashed)
-//! repro trace  [--workload W] [--tool T] end-to-end telemetry trace -> JSONL + Chrome + Prometheus
+//! repro trace  [--workload W] [--tool T] end-to-end telemetry trace -> JSONL + Prometheus + spans
 //! repro echo   [--scale N] [--rounds N]  many tiny sessions (the service load-test study)
 //! repro all    [--div N] [--scale N] everything
 //! repro merge DIR                   merge a sharded campaign's blobs into the full report
@@ -63,22 +63,28 @@
 //! `tests/golden/faults_digest.txt`.
 //!
 //! `repro trace` runs one (workload × tool) pair under the telemetry layer
-//! and writes the three exports — `trace_events.jsonl` (deterministic,
-//! thread-invariant digest in `trace_digest.txt`), `trace_chrome.json`
-//! (Perfetto-loadable), `trace_metrics.prom` — plus a hot-spot table ranking
-//! sites by slow-path share. Independently, `--telemetry PATH` on *any*
-//! subcommand writes the batch engine's scheduling spans for that whole
-//! invocation as a Chrome trace to PATH.
+//! and writes its data-plane exports — `trace_events.jsonl` (thread-invariant
+//! digest in `trace_digest.txt`), `trace_metrics.prom`, and the causal span
+//! chain `trace_spans.jsonl` (digest in `trace_span_digest.txt`) — plus a
+//! hot-spot table ranking sites by slow-path share. Every file it writes is
+//! deterministic.
+//!
+//! `--telemetry PATH` on any study subcommand attaches a flight recorder to
+//! the batch engine for the whole invocation and writes the cell schedule
+//! (one track per worker, one slice per cell attempt) as a Perfetto-loadable
+//! Chrome trace to PATH. Without the flag nothing is recorded. The rings are
+//! sized from the cells the invocation runs, so no event is overwritten.
 
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use giantsan_harness::campaign::{self, Campaign, CampaignError, ShardSpec};
 use giantsan_harness::cli::{self, CliOpts};
 use giantsan_harness::study::records_json;
-use giantsan_harness::{serve, BatchTrace, Study, StudyOutput, StudyRegistry, TraceSink};
-use giantsan_telemetry::export::ChromeTrace;
+use giantsan_harness::{serve, BatchRunner, Record, Study, StudyOutput, StudyRegistry};
+use giantsan_telemetry::FlightRecorder;
 
 /// Exit codes, pinned by `tests/exit_codes.rs`:
 ///
@@ -157,9 +163,8 @@ fn emit(
     study: &dyn Study,
     opts: &CliOpts,
     out_dir: Option<&Path>,
-    records: &[giantsan_harness::Record],
+    records: &[Record],
     out: &StudyOutput,
-    schedule: &BatchTrace,
 ) {
     if opts.json {
         match &out.json {
@@ -178,46 +183,38 @@ fn emit(
     for (name, content) in &out.main_artifacts {
         write_file(&main_dir, name, content);
     }
-    for (name, content) in study.presentation(&opts.study, records, schedule) {
-        write_file(&main_dir, &name, &content);
-    }
 }
 
 /// Runs one study monolithically (no campaign directory involvement beyond
 /// artifact writes).
-fn run_plain(study: &dyn Study, opts: &CliOpts, schedule_of: &TakeOnce) -> Result<(), CliError> {
-    let campaign = Campaign::new(study, opts.study.clone()).map_err(classify)?;
-    let records = campaign.run_all(&opts.runner());
+fn run_plain(campaign: &Campaign, opts: &CliOpts, runner: &BatchRunner) -> Result<(), CliError> {
+    let study = campaign.study();
+    let records = campaign.run_all(runner);
     let out = study
         .render(&opts.study, &records)
         .map_err(CliError::Runtime)?;
-    emit(
-        study,
-        opts,
-        opts.out_dir.as_deref(),
-        &records,
-        &out,
-        schedule_of.get(),
-    );
+    emit(study, opts, opts.out_dir.as_deref(), &records, &out);
     Ok(())
 }
 
 /// Runs one shard of a campaign into `--out-dir` and stops — rendering
 /// happens at `--resume` / `repro merge` time.
-fn run_shard(study: &dyn Study, opts: &CliOpts, shard: ShardSpec) -> Result<(), CliError> {
+fn run_shard(
+    campaign: &Campaign,
+    opts: &CliOpts,
+    shard: ShardSpec,
+    runner: &BatchRunner,
+) -> Result<(), CliError> {
     let dir = opts
         .out_dir
         .as_deref()
         .expect("validated by cli::parse_opts");
-    let campaign = Campaign::new(study, opts.study.clone()).map_err(classify)?;
+    let name = campaign.study().name();
     let range = campaign::shard_range(campaign.labels().len(), shard.index, shard.count);
-    let ran = campaign
-        .run_shard(dir, shard, &opts.runner())
-        .map_err(classify)?;
+    let ran = campaign.run_shard(dir, shard, runner).map_err(classify)?;
     if ran {
         println!(
-            "campaign `{}` at {}: committed shard {}/{} (cells {}..{})",
-            study.name(),
+            "campaign `{name}` at {}: committed shard {}/{} (cells {}..{})",
             dir.display(),
             shard.index,
             shard.count,
@@ -226,8 +223,7 @@ fn run_shard(study: &dyn Study, opts: &CliOpts, shard: ShardSpec) -> Result<(), 
         );
     } else {
         println!(
-            "campaign `{}` at {}: shard {}/{} already committed; nothing to do",
-            study.name(),
+            "campaign `{name}` at {}: shard {}/{} already committed; nothing to do",
             dir.display(),
             shard.index,
             shard.count
@@ -243,13 +239,13 @@ fn run_shard(study: &dyn Study, opts: &CliOpts, shard: ShardSpec) -> Result<(), 
 
 /// Finishes the campaign at `--resume DIR` and renders the full report.
 fn run_resume(
-    study: &dyn Study,
+    campaign: &Campaign,
     opts: &CliOpts,
     dir: &Path,
-    schedule_of: &TakeOnce,
+    runner: &BatchRunner,
 ) -> Result<(), CliError> {
-    let campaign = Campaign::new(study, opts.study.clone()).map_err(classify)?;
-    let (records, stats) = campaign.resume(dir, &opts.runner()).map_err(classify)?;
+    let study = campaign.study();
+    let (records, stats) = campaign.resume(dir, runner).map_err(classify)?;
     eprintln!(
         "(resume: reused {} shard(s) {:?}, ran {} {:?})",
         stats.reused.len(),
@@ -263,14 +259,7 @@ fn run_resume(
     // Artifacts default into the campaign directory so a resumed run leaves
     // its digests next to its shards.
     let out_dir = opts.out_dir.as_deref().unwrap_or(dir);
-    emit(
-        study,
-        opts,
-        Some(out_dir),
-        &records,
-        &out,
-        schedule_of.get(),
-    );
+    emit(study, opts, Some(out_dir), &records, &out);
     Ok(())
 }
 
@@ -293,29 +282,77 @@ fn run_merge(registry: &StudyRegistry, args: &[String]) -> Result<(), CliError> 
         .render(&merged_opts.study, &records)
         .map_err(CliError::Runtime)?;
     let out_dir = merged_opts.out_dir.clone().unwrap_or_else(|| dir.clone());
-    let schedule = BatchTrace::default();
-    emit(
-        study,
-        &merged_opts,
-        Some(&out_dir),
-        &records,
-        &out,
-        &schedule,
-    );
+    emit(study, &merged_opts, Some(&out_dir), &records, &out);
     Ok(())
 }
 
-/// Lazily takes the invocation-wide scheduling trace exactly once, so the
-/// study presentation pass and the `--telemetry` writer see the same spans.
-struct TakeOnce {
-    sink: std::sync::Arc<TraceSink>,
-    taken: std::cell::OnceCell<BatchTrace>,
-}
+/// Runs `cmd` (one study, or every study of `repro all`) under the shared
+/// flags, then writes the `--telemetry` schedule if one was asked for.
+fn run_studies(registry: &StudyRegistry, cmd: &str, opts: &CliOpts) -> Result<(), CliError> {
+    let names: Vec<&str> = if cmd == "all" {
+        if opts.shard.is_some() || opts.resume.is_some() {
+            return Err(CliError::Usage(
+                "--shard/--resume apply to a single study, not `all`".to_string(),
+            ));
+        }
+        ALL.to_vec()
+    } else {
+        vec![cmd]
+    };
+    let campaigns = names
+        .iter()
+        .map(|name| {
+            let study = registry
+                .get(name)
+                .ok_or_else(|| CliError::Usage(format!("unknown experiment: {name}")))?;
+            Campaign::new(study, opts.study.clone()).map_err(classify)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-impl TakeOnce {
-    fn get(&self) -> &BatchTrace {
-        self.taken.get_or_init(|| self.sink.take())
+    // `--telemetry PATH`: one flight recorder for the whole invocation, its
+    // rings sized so that even one worker running every cell through every
+    // attempt (a start plus an end, retry or quarantine event each)
+    // overwrites nothing.
+    let flight = opts.telemetry.as_ref().map(|_| {
+        let cells: usize = campaigns
+            .iter()
+            .map(|c| match opts.shard {
+                Some(s) => campaign::shard_range(c.labels().len(), s.index, s.count).len(),
+                None => c.labels().len(),
+            })
+            .sum();
+        let per_cell = 2 * BatchRunner::MAX_ATTEMPTS as usize;
+        Arc::new(FlightRecorder::new(
+            opts.study.threads.min(cells),
+            cells * per_cell,
+        ))
+    });
+
+    for (i, c) in campaigns.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        // Cell spans hang off the study's spec hash, so one study's slices
+        // are told apart from another's in a `repro all` dump.
+        let mut runner = BatchRunner::new(opts.study.threads);
+        if let Some(fr) = &flight {
+            runner = runner.with_flight(Arc::clone(fr), c.spec_hash());
+        }
+        match (opts.shard, &opts.resume) {
+            (Some(shard), _) => run_shard(c, opts, shard, &runner)?,
+            (None, Some(dir)) => run_resume(c, opts, dir, &runner)?,
+            (None, None) => run_plain(c, opts, &runner)?,
+        }
     }
+
+    if let (Some(path), Some(fr)) = (&opts.telemetry, &flight) {
+        let kernel = giantsan_shadow::kernel::active().name();
+        let chrome = fr.to_chrome(&format!("repro {cmd} [kernel={kernel}]"));
+        std::fs::write(path, chrome)
+            .map_err(|e| CliError::Runtime(format!("failed to write {}: {e}", path.display())))?;
+        println!("(wrote {})", path.display());
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -344,80 +381,18 @@ fn main() -> ExitCode {
         };
     }
 
-    if cmd == "merge" {
-        return match run_merge(&registry, &args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {}", e.message());
-                e.exit_code()
-            }
-        };
-    }
-
-    let mut opts = match cli::parse_opts(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // One scheduling sink for the whole invocation: the trace study's Chrome
-    // export and the `--telemetry` writer both read it.
-    if opts.sink.is_none() {
-        opts.sink = Some(TraceSink::new());
-    }
-    let schedule_of = TakeOnce {
-        sink: std::sync::Arc::clone(opts.sink.as_ref().expect("just set")),
-        taken: std::cell::OnceCell::new(),
-    };
-
-    let result = if cmd == "all" {
-        if opts.shard.is_some() || opts.resume.is_some() {
-            Err(CliError::Usage(
-                "--shard/--resume apply to a single study, not `all`".to_string(),
-            ))
-        } else {
-            ALL.iter().enumerate().try_for_each(|(i, name)| {
-                if i > 0 {
-                    println!();
-                }
-                let study = registry.get(name).expect("ALL lists registered studies");
-                run_plain(study, &opts, &schedule_of)
-            })
-        }
+    let result = if cmd == "merge" {
+        run_merge(&registry, &args[1..])
     } else {
-        match registry.get(cmd) {
-            None => {
-                eprintln!("unknown experiment: {cmd}");
-                return ExitCode::from(2);
-            }
-            Some(study) => match (opts.shard, opts.resume.clone()) {
-                (Some(shard), _) => run_shard(study, &opts, shard),
-                (None, Some(dir)) => run_resume(study, &opts, &dir, &schedule_of),
-                (None, None) => run_plain(study, &opts, &schedule_of),
-            },
-        }
+        cli::parse_opts(&args[1..])
+            .map_err(CliError::Usage)
+            .and_then(|opts| run_studies(&registry, cmd, &opts))
     };
-    if let Err(e) = result {
-        eprintln!("error: {}", e.message());
-        return e.exit_code();
-    }
-
-    // `--telemetry PATH`: dump the whole invocation's batch-scheduling spans
-    // as a Chrome trace.
-    if let Some(path) = &opts.telemetry {
-        let mut chrome = ChromeTrace::new();
-        let kernel = giantsan_shadow::kernel::active().name();
-        schedule_of
-            .get()
-            .render_chrome(&mut chrome, 1, &format!("repro {cmd} [kernel={kernel}]"));
-        match std::fs::write(path, chrome.finish()) {
-            Ok(()) => println!("(wrote {})", path.display()),
-            Err(e) => {
-                eprintln!("error: failed to write {}: {e}", path.display());
-                return ExitCode::from(1);
-            }
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {}", e.message());
+            e.exit_code()
         }
     }
-    ExitCode::SUCCESS
 }

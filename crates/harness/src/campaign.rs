@@ -325,7 +325,8 @@ impl<'a> Campaign<'a> {
             return Ok(false);
         }
         let range = shard_range(self.labels.len(), shard.index, shard.count);
-        let payloads = self.study.run_range(&self.opts, range.clone(), runner);
+        let runner = runner.rebased(range.start as u64);
+        let payloads = self.study.run_range(&self.opts, range.clone(), &runner);
         let records = self.records_from(range.start, payloads);
         let mut blob = String::new();
         for r in &records {

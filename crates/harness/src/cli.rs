@@ -11,11 +11,9 @@
 //! `--out` is kept as an alias of `--out-dir` for existing scripts and CI.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use giantsan_telemetry::fnv1a;
 
-use crate::batch::{BatchRunner, TraceSink};
 use crate::campaign::ShardSpec;
 use crate::study::StudyOpts;
 use crate::tool::Tool;
@@ -31,16 +29,14 @@ pub struct CliOpts {
     /// `--out-dir DIR` (alias `--out DIR`): where CSVs, digests, and — for
     /// sharded runs — the campaign checkpoint land.
     pub out_dir: Option<PathBuf>,
-    /// `--telemetry PATH`: write the whole invocation's batch-scheduling
-    /// spans as a Chrome trace to PATH.
+    /// `--telemetry PATH`: record the whole invocation's cell schedule in a
+    /// flight recorder and write it as a Chrome trace to PATH.
     pub telemetry: Option<PathBuf>,
     /// `--shard i/n`: run only the i-th of n shards into the campaign at
     /// `--out-dir`.
     pub shard: Option<ShardSpec>,
     /// `--resume DIR`: finish the campaign checkpointed at DIR.
     pub resume: Option<PathBuf>,
-    /// The scheduling sink created when `--telemetry` was given.
-    pub sink: Option<Arc<TraceSink>>,
 }
 
 /// Parses a campaign seed: hex with an `0x` prefix, plain decimal, or —
@@ -83,7 +79,6 @@ pub fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
         telemetry: None,
         shard: None,
         resume: None,
-        sink: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -131,7 +126,6 @@ pub fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
             }
             "--telemetry" => {
                 opts.telemetry = Some(it.next().ok_or("--telemetry needs a path")?.into());
-                opts.sink = Some(TraceSink::new());
             }
             "--format" => match it.next().ok_or("--format needs text|json")?.as_str() {
                 "json" => opts.json = true,
@@ -173,18 +167,6 @@ pub fn parse_opts(args: &[String]) -> Result<CliOpts, String> {
         }
     }
     Ok(opts)
-}
-
-impl CliOpts {
-    /// Builds the batch runner for this invocation, attaching the
-    /// `--telemetry` sink when one was requested.
-    pub fn runner(&self) -> BatchRunner {
-        let runner = BatchRunner::new(self.study.threads);
-        match &self.sink {
-            Some(sink) => runner.with_sink(Arc::clone(sink)),
-            None => runner,
-        }
-    }
 }
 
 #[cfg(test)]

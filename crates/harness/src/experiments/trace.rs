@@ -2,18 +2,21 @@
 //!
 //! One (workload × tool) pair is run as a small cell matrix with the full
 //! telemetry pipeline attached: the planner runs under
-//! [`analyze_recorded`] (per-pass events), every cell runs under a
+//! [`analyze_recorded`] (per-pass events) and every cell runs under a
 //! [`TraceRecorder`] (check / quasi-bound / allocator / containment events
-//! plus the sampling histograms), and the batch engine records its
-//! scheduling spans into a [`crate::TraceSink`]. The study then exports all
-//! three formats the telemetry crate supports:
+//! plus the sampling histograms). The study exports the data plane only,
+//! so every file it renders is deterministic:
 //!
-//! * **JSON Lines** — the deterministic data-plane event stream, sorted by
-//!   `(cell, seq)`; its FNV-1a digest is invariant under thread count.
-//! * **Chrome `trace_event`** — the presentation plane (worker tracks, cell
-//!   slices, wall-clock), loadable in Perfetto / `chrome://tracing`.
+//! * **JSON Lines** — the event stream, sorted by `(cell, seq)`; its FNV-1a
+//!   digest is invariant under thread count.
 //! * **Prometheus text exposition** — final counters, log2 histograms, and
 //!   the per-site check-path mix.
+//! * **Causal spans** — the request → … → cell chain with pass and
+//!   slow-path check leaves.
+//!
+//! The wall-clock schedule (worker tracks, cell slices) is the presentation
+//! plane: `repro trace --telemetry PATH` writes it from the batch engine's
+//! flight recorder, as it does for every other study.
 //!
 //! [`TraceEntry`] runs the cells; [`TraceStudy::from_records`] reassembles
 //! them into the merged stream, histograms, counters and span chain.
@@ -25,13 +28,12 @@
 use giantsan_analysis::analyze_recorded;
 use giantsan_ir::Program;
 use giantsan_runtime::Counters;
-use giantsan_telemetry::export::{events_jsonl, prometheus, text_digest, ChromeTrace};
+use giantsan_telemetry::export::{events_jsonl, prometheus, text_digest};
 use giantsan_telemetry::{
     site_label, Histograms, Log2Hist, PathMix, SpanKind, SpanSet, TraceRecorder,
 };
 use giantsan_workloads::{figure8_program, spec_workload};
 
-use crate::batch::BatchTrace;
 use crate::campaign::Campaign;
 use crate::json::Json;
 use crate::study::{self, Record, Study, StudyOpts, StudyOutput};
@@ -256,38 +258,6 @@ impl TraceStudy {
         out.push_str(&t.render());
         out
     }
-}
-
-/// The Chrome `trace_event` JSON: the batch engine's scheduling spans plus a
-/// final counter sample carrying the data-plane path totals (the trace
-/// study's presentation artifact).
-fn chrome_with(schedule: &BatchTrace, process: &str, hists: &Histograms) -> String {
-    let mut t = ChromeTrace::new();
-    schedule.render_chrome(&mut t, 1, process);
-    let end = schedule
-        .batches
-        .iter()
-        .map(|b| b.start_us + b.dur_us)
-        .fold(0.0, f64::max);
-    let mut mix = PathMix::default();
-    for m in hists.sites.values() {
-        mix.merge(m);
-    }
-    let series: Vec<(&str, String)> = [
-        ("fast", mix.fast),
-        ("slow", mix.slow),
-        ("cache_hit", mix.cache_hits),
-        ("cache_update", mix.cache_updates),
-        ("underflow", mix.underflow),
-        ("arith", mix.arith),
-        ("skipped", mix.skipped),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k, v.to_string()))
-    .collect();
-    let series_refs: Vec<(&str, &str)> = series.iter().map(|(k, v)| (*k, v.as_str())).collect();
-    t.counter(1, "check paths", end, &series_refs);
-    t.finish()
 }
 
 /// The request → admission → scheduler → job → shard spine every trace
@@ -556,36 +526,12 @@ impl Study for TraceEntry {
             ..StudyOutput::default()
         })
     }
-
-    /// The Chrome trace needs the live scheduling spans — presentation
-    /// plane, never checkpointed.
-    fn presentation(
-        &self,
-        opts: &StudyOpts,
-        records: &[Record],
-        schedule: &BatchTrace,
-    ) -> Vec<(String, String)> {
-        let mut hists = Histograms::default();
-        for r in records {
-            hists.merge(&hists_from(study::req(&r.payload, "hists")));
-        }
-        let process = format!(
-            "repro trace: {} under {} [kernel={}]",
-            opts.workload,
-            opts.tool.name(),
-            giantsan_shadow::kernel::active().name()
-        );
-        vec![(
-            "trace_chrome.json".to_string(),
-            chrome_with(schedule, &process, &hists),
-        )]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchRunner, TraceSink};
+    use crate::batch::BatchRunner;
     use giantsan_telemetry::PRE_CHECK_SITE;
 
     fn opts(workload: &str, tool: Tool) -> StudyOpts {
@@ -662,19 +608,12 @@ mod tests {
 
     #[test]
     fn exporters_render_all_three_formats() {
+        // The Chrome schedule is `--telemetry`'s, pinned by
+        // tests/telemetry_flag.rs.
         let opts = opts("figure8", Tool::GiantSan);
-        let sink = TraceSink::new();
-        let runner = BatchRunner::new(2).with_sink(std::sync::Arc::clone(&sink));
-        let records = records(&opts, &runner);
-        let s = TraceStudy::from_records(&opts, &records).unwrap();
+        let s = TraceStudy::from_records(&opts, &records(&opts, &BatchRunner::new(2))).unwrap();
         assert!(s.events_jsonl.lines().count() > 10);
         assert!(s.events_jsonl.starts_with("{\"cell\":0,\"seq\":0,"));
-        let presentation = TraceEntry.presentation(&opts, &records, &sink.take());
-        let chrome = &presentation[0].1;
-        assert!(chrome.starts_with("{\"traceEvents\":["));
-        assert!(chrome.contains("\"ph\":\"X\""));
-        assert!(chrome.contains("check paths"));
-        assert!(chrome.contains(&format!("[kernel={}]", s.kernel)));
         let prom = s.prometheus();
         assert!(prom.contains(&format!(
             "giantsan_kernel_info{{kernel=\"{}\"}} 1",

@@ -19,7 +19,7 @@
 //! | Table 5 (Magma redzones) | [`experiments::table5::Table5Entry`] | [`experiments::table5::Table5`] | `repro table5` |
 //! | Figure 11 (traversals) | [`experiments::fig11::Fig11Entry`] | [`experiments::fig11::Fig11`] | `repro fig11` |
 //! | Fault-injection campaign | [`experiments::fault_study::FaultsEntry`] | [`experiments::fault_study::FaultStudy`] | `repro faults` |
-//! | Telemetry trace (JSONL + Chrome + Prometheus) | [`experiments::trace::TraceEntry`] | [`experiments::trace::TraceStudy`] | `repro trace` |
+//! | Telemetry trace (JSONL + Prometheus + spans) | [`experiments::trace::TraceEntry`] | [`experiments::trace::TraceStudy`] | `repro trace` |
 //!
 //! Timing experiments report both an analytic cost model
 //! ([`CostModel`], paper-style overhead percentages) and wall-clock ratios.
@@ -50,10 +50,7 @@ pub mod study;
 mod table;
 mod tool;
 
-pub use batch::{
-    BatchOutcome, BatchRunner, BatchSpan, BatchTrace, CellFailure, CellSpan, FailureSummary,
-    TraceSink,
-};
+pub use batch::{BatchOutcome, BatchRunner, CellFailure, FailureSummary};
 pub use campaign::{Campaign, CampaignError, ResumeStats, ShardSpec};
 pub use cli::CliOpts;
 pub use cost::{geomean, CostModel};

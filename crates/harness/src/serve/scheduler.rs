@@ -288,11 +288,11 @@ pub fn run_job(shared: &SchedulerShared, job: &Arc<JobEntry>) {
         );
         // Each shard gets a flight-armed runner: cell lifecycle events land
         // in the ring attributed to spans the batch engine derives exactly
-        // as `job_spans` did, so dumps resolve against spans.jsonl.
-        let shard_runner =
-            runner
-                .clone()
-                .with_flight(Arc::clone(&shared.flight), shard_span, range.start as u64);
+        // as `job_spans` did (`run_shard` supplies the global cell index),
+        // so dumps resolve against spans.jsonl.
+        let shard_runner = runner
+            .clone()
+            .with_flight(Arc::clone(&shared.flight), shard_span);
         match campaign.run_shard(&dir, spec, &shard_runner) {
             Ok(ran) => {
                 if ran {

@@ -18,7 +18,7 @@
 
 use std::ops::Range;
 
-use crate::batch::{BatchRunner, BatchTrace};
+use crate::batch::BatchRunner;
 use crate::json::Json;
 use crate::tool::Tool;
 
@@ -209,17 +209,6 @@ pub trait Study: Send + Sync {
     /// campaign overrides this to record a synthetic crashed outcome.
     fn placeholder(&self, _opts: &StudyOpts, _index: usize) -> Option<Json> {
         None
-    }
-
-    /// Presentation-plane artifacts that need the live scheduling trace
-    /// (wall-clock spans; never digested, never part of a checkpoint).
-    fn presentation(
-        &self,
-        _opts: &StudyOpts,
-        _records: &[Record],
-        _schedule: &BatchTrace,
-    ) -> Vec<(String, String)> {
-        Vec::new()
     }
 }
 

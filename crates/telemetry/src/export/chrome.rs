@@ -24,7 +24,6 @@ use super::json_escape;
 /// t.thread_name(1, 1, "worker 0");
 /// t.complete(1, 1, "cell 0", "cell", 0.0, 150.0, &[("attempts", "1")]);
 /// t.instant(1, 1, "report", 75.0);
-/// t.counter(1, "checks", 100.0, &[("fast", "90"), ("slow", "10")]);
 /// let json = t.finish();
 /// assert!(json.starts_with("{\"traceEvents\":["));
 /// assert!(json.contains("\"ph\":\"X\""));
@@ -106,15 +105,6 @@ impl ChromeTrace {
         ));
     }
 
-    /// Adds a counter sample (`ph: "C"`).
-    pub fn counter(&mut self, pid: u32, name: &str, ts_us: f64, series: &[(&str, &str)]) {
-        self.events.push(format!(
-            "{{\"ph\":\"C\",\"ts\":{ts_us:.3},\"pid\":{pid},\"tid\":0,\"name\":\"{}\",\"args\":{}}}",
-            json_escape(name),
-            Self::args_json(series)
-        ));
-    }
-
     /// Renders the trace as a single JSON object.
     pub fn finish(self) -> String {
         let mut out = String::from("{\"traceEvents\":[");
@@ -141,8 +131,7 @@ mod tests {
         t.thread_name(1, 2, "w");
         t.complete(1, 2, "cell", "exec", 1.0, 2.0, &[]);
         t.instant(1, 2, "hit", 1.5);
-        t.counter(1, "c", 0.0, &[("a", "1")]);
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
         let json = t.finish();
         for line in json.lines().filter(|l| l.starts_with('{') && l.len() > 2) {

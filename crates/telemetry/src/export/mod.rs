@@ -14,8 +14,11 @@ pub use chrome::ChromeTrace;
 pub use jsonl::{events_jsonl, jsonl_digest, text_digest};
 pub use prom::{prometheus, service_exposition};
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal: `"`, `\` and the
+/// control characters (`\n`, `\r`, `\t` by name, the rest as `\u00XX`).
+/// Shared with the harness's JSON encoder, so reports, event streams and
+/// their digests all escape the same way.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -278,15 +278,16 @@ impl FlightRecorder {
             t.thread_name(1, w as u32 + 1, &format!("worker {w}"));
         }
         let events = self.snapshot();
-        // Pair CellStart/CellEnd on the same worker into slices; everything
-        // else renders as an instant.
+        // Pair each CellStart with the event that ends its attempt on the
+        // same worker — CellEnd, or Retry for an attempt that panicked —
+        // into a slice; everything else renders as an instant.
         let mut open: Vec<(u32, u64, u64, u64)> = Vec::new(); // (worker, cell, span, ts)
         for e in &events {
             match e.kind {
                 FlightEventKind::CellStart => {
                     open.push((e.worker, e.a, e.span, e.ts_us));
                 }
-                FlightEventKind::CellEnd => {
+                FlightEventKind::CellEnd | FlightEventKind::Retry => {
                     if let Some(pos) = open
                         .iter()
                         .rposition(|&(w, cell, _, _)| w == e.worker && cell == e.a)
@@ -299,8 +300,14 @@ impl FlightRecorder {
                             "cell",
                             start as f64,
                             (e.ts_us.saturating_sub(start)) as f64,
-                            &[("span", &format!("{span:#018x}"))],
+                            &[
+                                ("span", &format!("{span:#018x}")),
+                                ("attempt", &e.b.to_string()),
+                            ],
                         );
+                    }
+                    if e.kind == FlightEventKind::Retry {
+                        t.instant(1, e.worker + 1, e.kind.name(), e.ts_us as f64);
                     }
                 }
                 kind => {
@@ -365,6 +372,22 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("timeout"));
         assert!(json.contains("cell 6 (unfinished)"));
+    }
+
+    #[test]
+    fn chrome_dump_closes_a_retried_attempt() {
+        // A cell that panics once and then succeeds: both attempts are
+        // slices, the retry is an instant, and nothing reads as wedged.
+        let fr = FlightRecorder::new(1, 16);
+        fr.record(0, FlightEventKind::CellStart, 3, 7, 1);
+        fr.record(0, FlightEventKind::Retry, 3, 7, 1);
+        fr.record(0, FlightEventKind::CellStart, 3, 7, 2);
+        fr.record(0, FlightEventKind::CellEnd, 3, 7, 2);
+        let json = fr.to_chrome("flight");
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2, "{json}");
+        assert_eq!(json.matches("\"name\":\"cell 7\"").count(), 2, "{json}");
+        assert!(json.contains("\"name\":\"retry\""), "{json}");
+        assert!(!json.contains("unfinished"), "{json}");
     }
 
     #[test]

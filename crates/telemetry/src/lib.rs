@@ -28,9 +28,10 @@
 //! * [`span`] — causal spans with deterministic parent-linked ids
 //!   connecting an HTTP request to the shard, cell, pass, and check
 //!   hot-spot work it caused.
-//! * [`flight`] — a bounded lock-free per-worker flight recorder whose
-//!   ring contents can be dumped as a JSONL + Chrome-trace bundle when a
-//!   cell wedges, panics, or a SIGUSR1 arrives.
+//! * [`flight`] — a bounded lock-free per-worker flight recorder: the batch
+//!   engine's one scheduling recorder. Its rings are dumped as a JSONL +
+//!   Chrome-trace bundle when a served cell wedges, panics, or a SIGUSR1
+//!   arrives, and rendered as `repro --telemetry`'s Chrome trace.
 //!
 //! # The thread-invariance rule
 //!
@@ -39,9 +40,10 @@
 //! **No wall-clock and no worker identity ever enter an event**, so the
 //! sorted event stream and its FNV-1a digest are invariant under thread
 //! count and scheduling order; `tests/determinism.rs` pins this. Wall-clock
-//! and worker ids exist only in the **presentation plane** (the Chrome trace
-//! of batch scheduling), which visualises real machine behaviour and is not
-//! digested.
+//! and worker ids exist only in the **presentation plane** — the flight
+//! ring's [`FlightEvent`]s and the Chrome trace rendered from them — which
+//! visualises real machine behaviour and is never digested. That is why
+//! the ring records its own fixed-width events rather than [`Event`]s.
 //!
 //! [counters]: https://docs.rs/giantsan-runtime
 //!

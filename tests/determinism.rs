@@ -126,8 +126,8 @@ fn telemetry_data_plane_is_thread_count_invariant() {
     // The telemetry layer's determinism contract: the JSONL event stream,
     // its FNV-1a digest, the histograms, the Prometheus exposition and the
     // span chain are byte-identical at any thread count and shard split.
-    // Only the Chrome trace — the presentation plane — may (and does)
-    // differ.
+    // The wall-clock schedule (the presentation plane) is not a study
+    // artefact at all: `--telemetry` writes it from the flight recorder.
     let keep = &[
         "trace_events.jsonl",
         "trace_metrics.prom",
