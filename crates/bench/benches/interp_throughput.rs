@@ -9,13 +9,13 @@
 //! * `interp_dispatch/<pattern>` — what does monomorphization buy? The same
 //!   GiantSan run through the statically-dispatched
 //!   [`giantsan_harness::SessionSpec::run_planned`] path versus a boxed
-//!   session through [`giantsan_ir::run_dyn`].
+//!   session through [`giantsan_ir::run`] instantiated at `dyn Sanitizer`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use giantsan_bench::{bench_config, plans_for, traversal_cases};
 use giantsan_harness::Tool;
-use giantsan_ir::{run_dyn, ExecConfig};
+use giantsan_ir::{run, ExecConfig};
 use giantsan_workloads::Pattern;
 
 const TOOLS: [Tool; 5] = [
@@ -69,7 +69,7 @@ fn bench_dispatch(c: &mut Criterion) {
         group.bench_function("dyn", |b| {
             b.iter(|| {
                 let mut san = spec.session();
-                let out = run_dyn(&case.program, &case.inputs, san.as_mut(), &plan, &exec);
+                let out = run(&case.program, &case.inputs, san.as_mut(), &plan, &exec);
                 out.checksum
             })
         });

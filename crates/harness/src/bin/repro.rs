@@ -309,10 +309,11 @@ fn run_studies(registry: &StudyRegistry, cmd: &str, opts: &CliOpts) -> Result<()
         })
         .collect::<Result<Vec<_>, _>>()?;
 
-    // `--telemetry PATH`: one flight recorder for the whole invocation, its
-    // rings sized so that even one worker running every cell through every
-    // attempt (a start plus an end, retry or quarantine event each)
-    // overwrites nothing.
+    // `--telemetry PATH`: one flight recorder for the whole invocation with
+    // a single ring shared by every worker (each slot names its worker),
+    // sized so that every cell through every attempt (a start plus an end,
+    // retry or quarantine event each) overwrites nothing. Its memory follows
+    // the cell count, not `--threads`.
     let flight = opts.telemetry.as_ref().map(|_| {
         let cells: usize = campaigns
             .iter()
@@ -322,10 +323,7 @@ fn run_studies(registry: &StudyRegistry, cmd: &str, opts: &CliOpts) -> Result<()
             })
             .sum();
         let per_cell = 2 * BatchRunner::MAX_ATTEMPTS as usize;
-        Arc::new(FlightRecorder::new(
-            opts.study.threads.min(cells),
-            cells * per_cell,
-        ))
+        Arc::new(FlightRecorder::new(1, cells * per_cell))
     });
 
     for (i, c) in campaigns.iter().enumerate() {

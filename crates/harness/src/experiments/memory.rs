@@ -123,7 +123,7 @@ impl Study for MemoryEntry {
             let mut san = spec.session();
             let plan = spec.plan(&w.program);
             let exec = spec.exec_config();
-            let _ = giantsan_ir::run_dyn(&w.program, &w.inputs, san.as_mut(), &plan, &exec);
+            let _ = giantsan_ir::run(&w.program, &w.inputs, san.as_mut(), &plan, &exec);
             heap_high_water.push(san.world().heap().high_water());
             quarantined.push(san.world().quarantined_bytes());
         }

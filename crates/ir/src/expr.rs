@@ -79,14 +79,7 @@ impl Expr {
             Expr::Const(c) => *c,
             Expr::Var(v) => vars.get(v.0 as usize).copied().unwrap_or(0),
             Expr::Input(k) => inputs.get(*k).copied().unwrap_or(0),
-            Expr::InputDyn(e) => {
-                let idx = e.eval(vars, inputs);
-                usize::try_from(idx)
-                    .ok()
-                    .and_then(|i| inputs.get(i))
-                    .copied()
-                    .unwrap_or(0)
-            }
+            Expr::InputDyn(e) => input_at(inputs, e.eval(vars, inputs)),
             Expr::Add(a, b) => a.eval(vars, inputs).wrapping_add(b.eval(vars, inputs)),
             Expr::Sub(a, b) => a.eval(vars, inputs).wrapping_sub(b.eval(vars, inputs)),
             Expr::Mul(a, b) => a.eval(vars, inputs).wrapping_mul(b.eval(vars, inputs)),
@@ -121,6 +114,16 @@ impl Expr {
     pub fn uses_any(&self, vars: &[VarId]) -> bool {
         self.vars().iter().any(|v| vars.contains(v))
     }
+}
+
+/// `inputs[idx]`, or 0 for a negative or out-of-range index.
+#[inline]
+pub(crate) fn input_at(inputs: &[i64], idx: i64) -> i64 {
+    usize::try_from(idx)
+        .ok()
+        .and_then(|i| inputs.get(i))
+        .copied()
+        .unwrap_or(0)
 }
 
 impl From<i64> for Expr {

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use giantsan_runtime::AccessKind;
 
 use crate::expr::Expr;
-use crate::program::{LoopId, Program, PtrId, SiteId};
+use crate::program::{LoopId, Program, PtrId};
 
 /// Identifier of a history-cache slot (one local `ub` variable, Figure 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,7 +69,7 @@ pub struct LoopPlan {
 /// A complete instrumentation plan for one program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckPlan {
-    /// Action per access site, indexed by [`SiteId`].
+    /// Action per access site, indexed by [`SiteId`](crate::SiteId).
     pub sites: Vec<SiteAction>,
     /// Per-loop instrumentation.
     pub loops: HashMap<LoopId, LoopPlan>,
@@ -95,11 +95,6 @@ impl CheckPlan {
             loops: HashMap::new(),
             num_caches: 0,
         }
-    }
-
-    /// The action at `site`.
-    pub fn action(&self, site: SiteId) -> &SiteAction {
-        &self.sites[site.0 as usize]
     }
 
     /// Counts sites per action kind: `(direct, anchored, region, cached,
@@ -138,7 +133,7 @@ mod tests {
         let plan = CheckPlan::all_direct(&prog);
         assert_eq!(plan.sites.len(), 2);
         assert_eq!(plan.census(), (2, 0, 0, 0, 0));
-        assert_eq!(plan.action(SiteId(0)), &SiteAction::Direct);
+        assert_eq!(plan.sites[0], SiteAction::Direct);
     }
 
     #[test]

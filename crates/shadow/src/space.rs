@@ -112,29 +112,47 @@ impl AddressSpace {
         }
     }
 
-    /// Reads `buf.len()` bytes starting at `addr`.
+    /// The `W` bytes at `addr`, if all of them are mapped.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SpaceError`] if any byte of the range is unmapped.
-    pub fn read(&self, addr: Addr, buf: &mut [u8]) -> Result<(), SpaceError> {
-        let i = self.index(addr, buf.len() as u64)?;
-        buf.copy_from_slice(&self.bytes[i..i + buf.len()]);
-        Ok(())
+    /// An address below the base wraps to an offset past the end, so one
+    /// slice bound check covers both edges.
+    #[inline(always)]
+    fn bytes_at<const W: usize>(&self, addr: Addr) -> Option<&[u8; W]> {
+        let i = addr.raw().wrapping_sub(self.base) as usize;
+        self.bytes.get(i..i.wrapping_add(W))?.try_into().ok()
     }
 
-    /// Writes `buf` starting at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpaceError`] if any byte of the range is unmapped.
-    pub fn write(&mut self, addr: Addr, buf: &[u8]) -> Result<(), SpaceError> {
-        let i = self.index(addr, buf.len() as u64)?;
-        self.bytes[i..i + buf.len()].copy_from_slice(buf);
+    #[inline(always)]
+    fn bytes_at_mut<const W: usize>(&mut self, addr: Addr) -> Option<&mut [u8; W]> {
+        let i = addr.raw().wrapping_sub(self.base) as usize;
+        self.bytes.get_mut(i..i.wrapping_add(W))?.try_into().ok()
+    }
+
+    #[inline(always)]
+    fn load<const W: usize>(&self, addr: Addr) -> Result<u64, SpaceError> {
+        let b = self.bytes_at::<W>(addr).ok_or(SpaceError {
+            addr,
+            len: W as u64,
+        })?;
+        let mut buf = [0u8; 8];
+        buf[..W].copy_from_slice(b);
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    #[inline(always)]
+    fn store<const W: usize>(&mut self, addr: Addr, value: u64) -> Result<(), SpaceError> {
+        let b = self.bytes_at_mut::<W>(addr).ok_or(SpaceError {
+            addr,
+            len: W as u64,
+        })?;
+        b.copy_from_slice(&value.to_le_bytes()[..W]);
         Ok(())
     }
 
     /// Reads a little-endian integer of `width` bytes (1, 2, 4, or 8).
+    ///
+    /// Each width is a fixed-size load with a single bound check: the
+    /// interpreter's per-access path.
     ///
     /// # Errors
     ///
@@ -143,11 +161,15 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if `width` is not one of 1, 2, 4, 8.
+    #[inline]
     pub fn read_uint(&self, addr: Addr, width: u32) -> Result<u64, SpaceError> {
-        assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported width {width}");
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf[..width as usize])?;
-        Ok(u64::from_le_bytes(buf))
+        match width {
+            1 => self.load::<1>(addr),
+            2 => self.load::<2>(addr),
+            4 => self.load::<4>(addr),
+            8 => self.load::<8>(addr),
+            _ => panic!("unsupported width {width}"),
+        }
     }
 
     /// Writes the low `width` bytes of `value` little-endian.
@@ -159,10 +181,15 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if `width` is not one of 1, 2, 4, 8.
+    #[inline]
     pub fn write_uint(&mut self, addr: Addr, value: u64, width: u32) -> Result<(), SpaceError> {
-        assert!(matches!(width, 1 | 2 | 4 | 8), "unsupported width {width}");
-        let buf = value.to_le_bytes();
-        self.write(addr, &buf[..width as usize])
+        match width {
+            1 => self.store::<1>(addr, value),
+            2 => self.store::<2>(addr, value),
+            4 => self.store::<4>(addr, value),
+            8 => self.store::<8>(addr, value),
+            _ => panic!("unsupported width {width}"),
+        }
     }
 
     /// Reads a little-endian `u64` at `addr`.
@@ -251,6 +278,24 @@ mod tests {
         assert!(s.read_u64(s.lo() - 8).is_err());
         // Ranges straddling the top edge fault too.
         assert!(s.fill(s.hi() - 4, 0, 8).is_err());
+        // Every width faults exactly one byte past either edge, and an
+        // address below the base never wraps into range.
+        for w in [1u32, 2, 4, 8] {
+            let last = s.hi() - w as u64;
+            assert!(s.write_uint(last, u64::MAX, w).is_ok());
+            assert!(s.read_uint(last, w).is_ok());
+            assert!(s.read_uint(last + 1, w).is_err());
+            assert!(s.read_uint(s.lo() - 1, w).is_err());
+            assert!(s.write_uint(Addr::new(u64::MAX), 1, w).is_err());
+            let err = s.read_uint(s.hi(), w).unwrap_err();
+            assert_eq!((err.addr, err.len), (s.hi(), w as u64));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported width 3")]
+    fn odd_widths_are_rejected() {
+        let _ = space().read_uint(space().lo(), 3);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Crash flight recorder: bounded, lock-free, per-worker event rings.
+//! Crash flight recorder: bounded, lock-free event rings.
 //!
 //! The JSONL event stream and the histograms answer "what did the run do";
 //! the flight recorder answers "what was the machine doing *right before it
-//! went wrong*". Each worker owns a fixed-capacity ring of small
-//! fixed-width slots; recording is one `fetch_add` plus a handful of
-//! relaxed atomic stores — **no locks, no allocation, no branches that
-//! grow** — so it is safe to leave armed on the hot path permanently. When
-//! the ring wraps, the oldest entries are overwritten and the overwrite
-//! count is reported, never hidden.
+//! went wrong*". Events land in fixed-capacity rings of small fixed-width
+//! slots, and every slot carries the worker that recorded it, so the ring
+//! count is a memory choice only: `repro serve` gives each worker its own
+//! ring, while `repro --telemetry` shares one ring sized for the whole
+//! invocation. Recording is one `fetch_add` plus a handful of relaxed
+//! atomic stores — **no locks, no allocation, no branches that grow** — so
+//! it is safe to leave armed on the hot path permanently. When a ring
+//! wraps, the oldest entries are overwritten and the overwrite count is
+//! reported, never hidden.
 //!
 //! A dump ([`FlightRecorder::snapshot`] → [`FlightRecorder::to_jsonl`] /
 //! [`FlightRecorder::to_chrome`]) can be taken at any moment — from the
@@ -23,7 +26,7 @@ use std::time::Instant;
 
 use crate::export::ChromeTrace;
 
-/// Default per-worker ring capacity (events).
+/// Default per-ring capacity (events).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
 /// What a flight event marks. Encoded as one byte in the ring.
@@ -102,7 +105,7 @@ impl FlightEventKind {
 /// One decoded flight event, as returned by [`FlightRecorder::snapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Ring (worker) the event was recorded on.
+    /// The worker that recorded the event.
     pub worker: u32,
     /// Microseconds since the recorder was created (wall-clock;
     /// presentation plane only).
@@ -122,6 +125,7 @@ pub struct FlightEvent {
 #[derive(Debug)]
 struct Slot {
     ts_us: AtomicU64,
+    /// The kind's code in the low 32 bits, the recording worker in the high.
     kind: AtomicU64,
     span: AtomicU64,
     a: AtomicU64,
@@ -140,14 +144,14 @@ impl Slot {
     }
 }
 
-/// One worker's ring: a monotone push counter plus `capacity` slots.
+/// One ring: a monotone push counter plus `capacity` slots.
 #[derive(Debug)]
 struct Ring {
     pushed: AtomicU64,
     slots: Box<[Slot]>,
 }
 
-/// The flight recorder: one fixed ring per worker, shared by reference.
+/// The flight recorder: a fixed set of rings, shared by reference.
 #[derive(Debug)]
 pub struct FlightRecorder {
     origin: Instant,
@@ -155,12 +159,12 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder with `workers` rings of `capacity` slots each. All memory
+    /// A recorder with `rings` rings of `capacity` slots each. All memory
     /// is allocated here, once; [`Self::record`] never allocates.
-    pub fn new(workers: usize, capacity: usize) -> Self {
-        let workers = workers.max(1);
+    pub fn new(rings: usize, capacity: usize) -> Self {
+        let rings = rings.max(1);
         let capacity = capacity.max(1);
-        let rings = (0..workers)
+        let rings = (0..rings)
             .map(|_| Ring {
                 pushed: AtomicU64::new(0),
                 slots: (0..capacity).map(|_| Slot::empty()).collect(),
@@ -172,8 +176,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of per-worker rings.
-    pub fn workers(&self) -> usize {
+    /// Number of rings.
+    pub fn rings(&self) -> usize {
         self.rings.len()
     }
 
@@ -182,16 +186,18 @@ impl FlightRecorder {
         self.rings[0].slots.len()
     }
 
-    /// Records one event on `worker`'s ring (modulo the ring count, so a
-    /// caller with more threads than rings still lands somewhere). Hot
-    /// path: one `fetch_add` + five relaxed stores, no allocation.
+    /// Records one event by `worker` on ring `worker` modulo the ring count
+    /// (so a single ring takes every worker's events). The slot keeps the
+    /// worker itself. Hot path: one `fetch_add` + five relaxed stores, no
+    /// allocation.
     pub fn record(&self, worker: usize, kind: FlightEventKind, span: u64, a: u64, b: u64) {
         let ring = &self.rings[worker % self.rings.len()];
         let n = ring.pushed.fetch_add(1, Ordering::Relaxed);
         let slot = &ring.slots[(n as usize) % ring.slots.len()];
         let ts = self.origin.elapsed().as_micros() as u64;
         slot.ts_us.store(ts, Ordering::Relaxed);
-        slot.kind.store(kind.code(), Ordering::Relaxed);
+        slot.kind
+            .store(kind.code() | (worker as u64) << 32, Ordering::Relaxed);
         slot.span.store(span, Ordering::Relaxed);
         slot.a.store(a, Ordering::Relaxed);
         slot.b.store(b, Ordering::Relaxed);
@@ -220,16 +226,17 @@ impl FlightRecorder {
     /// ring, merged and sorted by timestamp then worker.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
         let mut out = Vec::new();
-        for (w, ring) in self.rings.iter().enumerate() {
+        for ring in self.rings.iter() {
             let cap = ring.slots.len() as u64;
             let pushed = ring.pushed.load(Ordering::Acquire);
             let start = pushed.saturating_sub(cap);
             for n in start..pushed {
                 let slot = &ring.slots[(n as usize) % ring.slots.len()];
+                let kind = slot.kind.load(Ordering::Relaxed);
                 out.push(FlightEvent {
-                    worker: w as u32,
+                    worker: (kind >> 32) as u32,
                     ts_us: slot.ts_us.load(Ordering::Relaxed),
-                    kind: FlightEventKind::from_code(slot.kind.load(Ordering::Relaxed)),
+                    kind: FlightEventKind::from_code(kind & u64::from(u32::MAX)),
                     span: slot.span.load(Ordering::Relaxed),
                     a: slot.a.load(Ordering::Relaxed),
                     b: slot.b.load(Ordering::Relaxed),
@@ -248,8 +255,8 @@ impl FlightRecorder {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{{\"flight\":\"v1\",\"workers\":{},\"capacity\":{},\"recorded\":{},\"overwritten\":{}}}",
-            self.workers(),
+            "{{\"flight\":\"v1\",\"rings\":{},\"capacity\":{},\"recorded\":{},\"overwritten\":{}}}",
+            self.rings(),
             self.capacity(),
             self.recorded(),
             self.overwritten()
@@ -270,14 +277,16 @@ impl FlightRecorder {
     }
 
     /// Renders the retained events as a Chrome `trace_event` file (one
-    /// track per worker, instants for point events), loadable in Perfetto.
+    /// track per worker that recorded anything, instants for point events),
+    /// loadable in Perfetto.
     pub fn to_chrome(&self, process: &str) -> String {
         let mut t = ChromeTrace::new();
         t.process_name(1, process);
-        for w in 0..self.workers() {
-            t.thread_name(1, w as u32 + 1, &format!("worker {w}"));
-        }
         let events = self.snapshot();
+        let workers: std::collections::BTreeSet<u32> = events.iter().map(|e| e.worker).collect();
+        for w in workers {
+            t.thread_name(1, w + 1, &format!("worker {w}"));
+        }
         // Pair each CellStart with the event that ends its attempt on the
         // same worker — CellEnd, or Retry for an attempt that panicked —
         // into a slice; everything else renders as an instant.
@@ -347,7 +356,7 @@ mod tests {
         let fr = FlightRecorder::new(2, 8);
         fr.record(0, FlightEventKind::CellStart, 0xabc, 1, 1);
         fr.record(1, FlightEventKind::Quarantine, 0xdef, 2, 0);
-        assert_eq!(fr.workers(), 2);
+        assert_eq!(fr.rings(), 2);
         assert_eq!(fr.capacity(), 8);
         let text = fr.to_jsonl();
         let header = text.lines().next().unwrap();
@@ -406,5 +415,37 @@ mod tests {
         assert_eq!(fr.recorded(), 400);
         assert_eq!(fr.overwritten(), 400 - 4 * 32);
         assert_eq!(fr.snapshot().len(), 4 * 32);
+    }
+
+    #[test]
+    fn one_shared_ring_keeps_every_workers_track() {
+        let fr = std::sync::Arc::new(FlightRecorder::new(1, 4 * 2 * 10));
+        std::thread::scope(|s| {
+            for w in 0..4usize {
+                let fr = fr.clone();
+                s.spawn(move || {
+                    for cell in 0..10u64 {
+                        let cell = w as u64 * 10 + cell;
+                        fr.record(w, FlightEventKind::CellStart, cell, cell, 1);
+                        fr.record(w, FlightEventKind::CellEnd, cell, cell, 1);
+                    }
+                });
+            }
+        });
+        assert_eq!((fr.rings(), fr.overwritten()), (1, 0));
+        let snap = fr.snapshot();
+        let workers: std::collections::BTreeSet<u32> = snap.iter().map(|e| e.worker).collect();
+        assert_eq!(workers.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
+        for e in &snap {
+            assert_eq!(e.a / 10, u64::from(e.worker), "{e:?}");
+        }
+        let json = fr.to_chrome("shared");
+        for w in 0..4 {
+            assert!(json.contains(&format!("\"name\":\"worker {w}\"")), "{json}");
+            assert!(json.contains(&format!("\"tid\":{}", w + 1)), "{json}");
+        }
+        assert!(!json.contains("worker 4"), "{json}");
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 40, "{json}");
+        assert!(!json.contains("unfinished"), "{json}");
     }
 }

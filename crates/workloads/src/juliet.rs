@@ -535,7 +535,7 @@ mod tests {
     use giantsan_ir::{run, CheckPlan, ExecConfig};
     use giantsan_runtime::{RuntimeConfig, Sanitizer};
 
-    fn exec(
+    fn detects(
         suite: &JulietSuite,
         case: &JulietCase,
         san: &mut dyn Sanitizer,
@@ -585,14 +585,14 @@ mod tests {
         for case in &suite.cases {
             let plan = analyze(&suite.templates[case.template], &ToolProfile::giantsan()).plan;
             let mut san = GiantSan::new(RuntimeConfig::small());
-            let detected = exec(&suite, case, &mut san, &plan, true);
+            let detected = detects(&suite, case, &mut san, &plan, true);
             assert_eq!(
                 detected, case.triggering,
                 "GiantSan on CWE-{} #{} (template {})",
                 case.cwe, case.index, case.template
             );
             let mut san = GiantSan::new(RuntimeConfig::small());
-            let fp = exec(&suite, case, &mut san, &plan, false);
+            let fp = detects(&suite, case, &mut san, &plan, false);
             assert!(!fp, "false positive on CWE-{} #{}", case.cwe, case.index);
         }
     }
@@ -603,14 +603,14 @@ mod tests {
         for case in &suite.cases {
             let plan = analyze(&suite.templates[case.template], &ToolProfile::asan()).plan;
             let mut san = Asan::new(RuntimeConfig::small());
-            let detected = exec(&suite, case, &mut san, &plan, true);
+            let detected = detects(&suite, case, &mut san, &plan, true);
             assert_eq!(
                 detected, case.triggering,
                 "ASan on CWE-{} #{}",
                 case.cwe, case.index
             );
             let mut san = Asan::new(RuntimeConfig::small());
-            assert!(!exec(&suite, case, &mut san, &plan, false));
+            assert!(!detects(&suite, case, &mut san, &plan, false));
         }
     }
 
@@ -624,7 +624,7 @@ mod tests {
         for case in &suite.cases {
             let plan = analyze(&suite.templates[case.template], &ToolProfile::lfp()).plan;
             let mut san = Lfp::new(RuntimeConfig::small());
-            let detected = exec(&suite, case, &mut san, &plan, true);
+            let detected = detects(&suite, case, &mut san, &plan, true);
             match case.cwe {
                 121 if case.triggering => {
                     total_121 += 1;
@@ -647,7 +647,7 @@ mod tests {
             // Safe twins must stay silent for LFP too.
             let mut san = Lfp::new(RuntimeConfig::small());
             assert!(
-                !exec(&suite, case, &mut san, &plan, false),
+                !detects(&suite, case, &mut san, &plan, false),
                 "LFP FP on CWE-{} #{}",
                 case.cwe,
                 case.index
